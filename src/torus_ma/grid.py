@@ -60,6 +60,50 @@ class TorusGrid:
         shape[axis] = n
         return m.reshape(shape)
 
+    @cached_property
+    def _symbols(self) -> dict:
+        return {}
+
+    def _cached_symbol(self, key, build) -> np.ndarray:
+        sym = self._symbols.get(key)
+        if sym is None:
+            sym = build()
+            # shared by every later derivative on this grid: an in-place op
+            # must raise instead of corrupting them
+            sym.flags.writeable = False
+            self._symbols[key] = sym
+        return sym
+
+    def multiplier(self, axis: int, order: int) -> np.ndarray:
+        """Read-only Fourier multiplier of d^order/dx_axis^order (order 1 or 2),
+        shaped for broadcasting."""
+        if not 0 <= axis < self.d:
+            raise ValueError(f"axis {axis} out of range for d={self.d}")
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+
+        def build():
+            m = self.wavenumbers(axis)
+            if order == 2:
+                return -((2 * np.pi * m) ** 2)
+            # the Nyquist mode of an odd-order derivative has no consistent
+            # real representative; zero it
+            return 2j * np.pi * m * (np.abs(m) != self.sizes[axis] // 2)
+
+        return self._cached_symbol((axis, order), build)
+
+    def shifted_laplacian_symbol(self, sigma: float) -> np.ndarray:
+        """Read-only Fourier symbol of sigma*I - Laplacian on the full grid."""
+        sigma = float(sigma)
+
+        def build():
+            denom = sigma
+            for axis in range(self.d):
+                denom = denom - self.multiplier(axis, 2)
+            return np.broadcast_to(denom, self.sizes).copy()
+
+        return self._cached_symbol(("shifted_laplacian", sigma), build)
+
     def compatible(self, other: "TorusGrid") -> bool:
         return self.sizes == other.sizes
 
@@ -105,32 +149,22 @@ def constant(grid: TorusGrid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.sizes, float(value)))
 
 
-def _spectral_derivative(grid: TorusGrid, hat: np.ndarray, axis: int, order: int) -> np.ndarray:
-    m = grid.wavenumbers(axis)
-    if order == 1:
-        mult = 2j * np.pi * m
-        # the Nyquist mode of an odd-order derivative has no consistent real
-        # representative; zero it
-        mult = mult * (np.abs(m) != grid.sizes[axis] // 2)
-    elif order == 2:
-        mult = -((2 * np.pi * m) ** 2)
-    else:
-        raise ValueError("order must be 1 or 2")
-    return np.real(np.fft.ifftn(hat * mult))
-
-
 def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     """Spectral derivative along one axis; exact for resolved trig polynomials."""
-    if not 0 <= axis < f.grid.d:
-        raise ValueError(f"axis {axis} out of range for d={f.grid.d}")
-    return ScalarField(f.grid, _spectral_derivative(f.grid, f.hat, axis, order))
+    mult = f.grid.multiplier(axis, order)
+    return ScalarField(f.grid, np.real(np.fft.ifftn(f.hat * mult)))
 
 
 def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
-    """Second mixed derivative; axis order is immaterial."""
+    """Second mixed derivative; axis order is immaterial.
+
+    For distinct axes the product of the two first-order multipliers, each
+    with its Nyquist mode zeroed, is applied in one inverse transform.
+    """
     if axis_a == axis_b:
         return derivative(f, axis_a, 2)
-    return derivative(derivative(f, axis_a, 1), axis_b, 1)
+    mult = f.grid.multiplier(axis_a, 1) * f.grid.multiplier(axis_b, 1)
+    return ScalarField(f.grid, np.real(np.fft.ifftn(f.hat * mult)))
 
 
 def integrate(f: ScalarField) -> float:
@@ -146,12 +180,8 @@ def invert_shifted_laplacian(r: ScalarField, sigma: float) -> ScalarField:
     """Solve (sigma*I - Laplacian) w = r diagonally in spectral space."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    grid = r.grid
-    denom = float(sigma)
-    for axis in range(grid.d):
-        denom = denom + (2 * np.pi * grid.wavenumbers(axis)) ** 2
-    w = np.real(np.fft.ifftn(r.hat / denom))
-    return ScalarField(grid, w)
+    w = np.real(np.fft.ifftn(r.hat / r.grid.shifted_laplacian_symbol(sigma)))
+    return ScalarField(r.grid, w)
 
 
 def _pad_axis(hat: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:

@@ -65,8 +65,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.newton_tol <= 0 or self.lin_rtol <= 0 or self.delta <= 0:
             raise ValueError("tolerances must be positive")
+        for name in ("max_newton", "max_backtracks", "max_steps", "lin_maxiter", "lin_restart"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.damping < 1.0:
+            raise ValueError("damping must lie in (0, 1)")
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
         if not 0.0 < self.dt_init <= 1.0:
             raise ValueError("dt_init must lie in (0, 1]")
+        if not 0.0 < self.dt_min <= self.dt_init:
+            raise ValueError("dt_min must lie in (0, dt_init]")
 
 
 @dataclass
@@ -149,12 +158,17 @@ def _linear_solve(L, grid, rhs_field, rhs_mean, cfg, rtol):
 
     Returns the step, the achieved true relative residual (measured directly,
     since restarted GMRES can report stagnation for directions that are in
-    fact accurate), and the smallest-singular-value witness |rhs| / |x|.
+    fact accurate), the smallest-singular-value witness |rhs| / |x|, the
+    GMRES `info` (nonzero when the solve hit its cap) and the number of
+    operator applies, the true-residual check included.
     """
     npts = grid.npoints
     shape = grid.sizes
+    applies = 0
 
     def matvec(x):
+        nonlocal applies
+        applies += 1
         w = ScalarField(grid, x[:npts].reshape(shape))
         out = L(w).values.ravel() - x[npts]
         return np.concatenate([out, [float(np.mean(x[:npts]))]])
@@ -167,13 +181,13 @@ def _linear_solve(L, grid, rhs_field, rhs_mean, cfg, rtol):
     M = LinearOperator((npts + 1, npts + 1), matvec=precond, dtype=float)
     rhs = np.concatenate([rhs_field.ravel(), [rhs_mean]])
     outer = max(1, cfg.lin_maxiter // cfg.lin_restart)
-    x, _ = gmres(A, rhs, M=M, rtol=rtol, atol=0.0,
-                 restart=cfg.lin_restart, maxiter=outer)
+    x, info = gmres(A, rhs, M=M, rtol=rtol, atol=0.0,
+                    restart=cfg.lin_restart, maxiter=outer)
     nrhs = float(np.linalg.norm(rhs))
     true_rel = float(np.linalg.norm(matvec(x) - rhs)) / nrhs if nrhs > 0 else 0.0
     nx = float(np.linalg.norm(x))
     witness = nrhs / nx if nx > 0 else float("inf")
-    return x[:npts].reshape(shape), float(x[npts]), true_rel, witness
+    return x[:npts].reshape(shape), float(x[npts]), true_rel, witness, int(info), applies
 
 
 def newton_solve(
@@ -206,14 +220,18 @@ def newton_solve(
     witness = float("inf")
     status = Status.MAX_ITERATIONS
     forcing = 1e-2
+    matvecs = capped = 0
 
     for _ in range(cfg.max_newton):
         if hist[-1] <= cfg.newton_tol:
             status = Status.CONVERGED
             break
         L = linearizer(spec, u, dealias=cfg.dealias)
-        w_vals, beta, achieved, wit = _linear_solve(L, grid, -r, 0.0, cfg, forcing)
+        w_vals, beta, achieved, wit, info, applies = _linear_solve(
+            L, grid, -r, 0.0, cfg, forcing)
         witness = min(witness, wit)
+        matvecs += applies
+        capped += info != 0
         if achieved > 0.1:
             status = Status.LINEAR_SOLVE_STALLED
             break
@@ -233,9 +251,14 @@ def newton_solve(
             if n_try <= (1.0 - 1e-4 * step) * hist[-1] or n_try <= cfg.newton_tol:
                 u, b, r = u_try, b_try, r_try
                 hist.append(n_try)
-                # inexact-Newton forcing term, tightened quadratically with
-                # the observed contraction so the local rate stays quadratic
-                forcing = max(cfg.lin_rtol, min(1e-2, (n_try / hist[-2]) ** 2))
+                # inexact-Newton forcing term (Eisenstat & Walker 1996),
+                # tightened quadratically with the observed contraction so the
+                # local rate stays quadratic.  The safeguard 0.01*newton_tol/|r|
+                # stops a step that can already land under newton_tol from
+                # over-solving: restarted GMRES may never reach lin_rtol and
+                # would run to lin_maxiter.  lin_rtol is only a lower bound.
+                forcing = max(cfg.lin_rtol, min(1e-2, (n_try / hist[-2]) ** 2),
+                              0.01 * cfg.newton_tol / n_try)
                 accepted = True
                 break
             step *= cfg.damping
@@ -248,6 +271,7 @@ def newton_solve(
             status = Status.CONVERGED
 
     return SolveReport(u=u, b=b, status=status, newton_history=hist,
+                       monitors={"krylov_matvecs": matvecs, "krylov_capped": capped},
                        sigma_min_witness=witness)
 
 
@@ -276,6 +300,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
     witness = float("inf")
     history: list[float] = []
     status = Status.STEP_FAILED
+    matvecs = capped = 0
 
     for _ in range(cfg.max_steps):
         if t >= 1.0:
@@ -285,6 +310,8 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
         G = _target_log_rhs(spec, F, t_try)
         rep = newton_solve(spec, G, u, cfg, b0=b)
         witness = min(witness, rep.sigma_min_witness)
+        matvecs += rep.monitors["krylov_matvecs"]
+        capped += rep.monitors["krylov_capped"]
         if rep.converged:
             u, b = rep.u, rep.b
             t = t_try
@@ -313,6 +340,8 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
                          newton_history=history, sigma_min_witness=witness)
     report.monitors["ellipticity_min"] = ellipticity_monitor(spec, u)
     report.monitors["abs_b"] = abs(b)
+    report.monitors["krylov_matvecs"] = matvecs
+    report.monitors["krylov_capped"] = capped
     if spec.family is Family.WARPED:
         prima, seconda = warped_branch_minima(spec, u)
         report.monitors["prima_min"] = prima

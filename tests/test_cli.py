@@ -145,6 +145,8 @@ class TestRunPipeline:
         # datum was auto-normalized and the shift recorded
         assert float(report["normalization_shift"]) != 0.0
         assert (tmp_path / "run" / "u.tma").exists()
+        assert int(report["monitors"]["krylov_matvecs"]) > 0
+        assert report["monitors"]["krylov_capped"] == "0"
 
         # re-verify the emitted artifacts through the verify mode
         cfg2 = write_config(
@@ -219,6 +221,29 @@ class TestRunPipeline:
             cli.main(["badmode", "--config", cfg])
         # unknown family surfaces as a config error
         assert cli.main(["solve", "--config", cfg]) == 2
+
+    def _solve_with(self, tmp_path, solver):
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="solve", family="STDMA", grid=[32, 32],
+            datum={"expr": "0.4*sin(2*pi*x)*sin(2*pi*y)"}, solver=solver,
+            out=str(tmp_path / "run"), seed=0)
+        return cli.main(["solve", "--config", cfg])
+
+    def test_zero_lin_restart_exits_two(self, tmp_path):
+        # used to divide by zero when sizing the GMRES outer iterations
+        assert self._solve_with(tmp_path, {"lin_restart": 0}) == 2
+
+    def test_zero_max_backtracks_exits_two(self, tmp_path):
+        # used to run with no trial step and report a lost branch
+        assert self._solve_with(tmp_path, {"max_backtracks": 0}) == 2
+
+    @pytest.mark.parametrize("solver", [
+        {"max_newton": 0}, {"max_steps": 0}, {"lin_maxiter": 0},
+        {"damping": 0.0}, {"damping": 1.0}, {"sigma": 0.0}, {"sigma": -1.0},
+        {"dt_min": 0.0}, {"dt_init": 0.1, "dt_min": 0.2},
+    ])
+    def test_out_of_range_solver_setting_exits_two(self, tmp_path, solver):
+        assert self._solve_with(tmp_path, solver) == 2
 
     def test_solver_failure_exits_three(self, tmp_path):
         # an iteration budget too small to reach the target datum

@@ -78,6 +78,35 @@ class TestDerivative:
         b = derivative(derivative(f, 1, 1), 0, 1)
         assert np.max(np.abs(a.values - b.values)) < 1e-10
 
+    @pytest.mark.parametrize("sizes", [(8, 12), (16, 16), (10, 8, 16), (8, 10, 12, 8)])
+    def test_one_pass_mixed_matches_two_pass(self, rng, sizes):
+        # white noise fills every mode, the Nyquist ones included
+        g = TorusGrid(sizes)
+        f = ScalarField(g, rng.standard_normal(sizes))
+        for a in range(g.d):
+            for b in range(g.d):
+                if a != b:
+                    want = derivative(derivative(f, a, 1), b, 1).values
+                    got = mixed_derivative(f, a, b).values
+                    assert rel_err(got, want) <= 1e-14, (a, b)
+
+    def test_mixed_derivative_kills_nyquist_mode(self):
+        g = TorusGrid((8, 12))
+        i, j = np.indices(g.sizes)
+        f = ScalarField(g, (-1.0) ** (i + j))  # the (N/2, M/2) mode alone
+        assert mixed_derivative(f, 0, 1).max_norm() <= 1e-12
+        assert mixed_derivative(f, 1, 0).max_norm() <= 1e-12
+
+    def test_cached_multipliers_are_read_only(self, rng):
+        g = TorusGrid((16, 16))
+        f = random_trig_field(g, rng, max_mode=4, scale=1.0)
+        before = mixed_derivative(f, 0, 1).values
+        for sym in (g.multiplier(0, 1), g.multiplier(1, 2), g.shifted_laplacian_symbol(1.0)):
+            with pytest.raises(ValueError):
+                sym *= 2.0
+        assert g.multiplier(0, 1) is g.multiplier(0, 1)
+        assert np.array_equal(mixed_derivative(f, 0, 1).values, before)
+
     def test_bad_axis_rejected(self):
         g = TorusGrid((8, 8))
         with pytest.raises(ValueError):

@@ -192,6 +192,17 @@ class TestContinuity:
         assert rep.converged
         assert np.max(np.abs(rep.u.values - star64.values)) <= 1e-8
 
+    def test_warped_final_step_not_capped(self, g64, star64):
+        # the last Newton step of a node used to chase lin_rtol past what
+        # newton_tol needs, and restarted GMRES ran to lin_maxiter
+        h = from_function(g64, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
+        spec = eq.EquationSpec(eq.Family.WARPED, c=1.0, h=h)
+        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, star64))
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig())
+        assert rep.converged
+        assert rep.monitors["krylov_capped"] == 0
+        assert rep.monitors["krylov_matvecs"] > 0
+
     def test_sigma_witness_recorded(self, g64, star64):
         spec = eq.EquationSpec(eq.Family.STDMA)
         F = eq.manufactured_datum(spec, star64)
@@ -224,7 +235,7 @@ class TestFailurePaths:
         F = eq.manufactured_datum(spec, star64)
 
         def garbage(L, grid, rhs_field, rhs_mean, cfg_, rtol):
-            return np.zeros(grid.sizes), 0.0, 1.0, 1.0
+            return np.zeros(grid.sizes), 0.0, 1.0, 1.0, 0, 1
 
         monkeypatch.setattr(sv, "_linear_solve", garbage)
         rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)
