@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +189,7 @@ def build_spec(cfg: RunConfig, grid: TorusGrid) -> eq.EquationSpec:
     params = cfg.params
     h = None
     if cfg.h_expr is not None:
-        names = _family_names(family, int(params.get("n", 2)))
+        names = eq.family_axis_names(family, int(params.get("n", 2)))
         h = evaluate_expression(cfg.h_expr, grid, names)
     try:
         return eq.EquationSpec(
@@ -206,15 +206,14 @@ def build_spec(cfg: RunConfig, grid: TorusGrid) -> eq.EquationSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _family_names(family: eq.Family, n: int) -> tuple[str, ...]:
-    return eq.family_axis_names(family, n)
-
-
 def _load_field(entry: dict, grid: TorusGrid, names: tuple[str, ...]) -> ScalarField:
     if "expr" in entry:
         return evaluate_expression(entry["expr"], grid, names)
     if "dump" in entry:
-        f = dumpio.read_field(entry["dump"])
+        try:
+            f = dumpio.read_field(entry["dump"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if f.grid.sizes != grid.sizes:
             raise ConfigError(f"dump {entry['dump']} has sizes {f.grid.sizes}, "
                               f"config wants {grid.sizes}")
@@ -292,35 +291,9 @@ def _prepare_out(cfg: RunConfig, force: bool) -> Path:
     return out
 
 
-def _trace_tree(report) -> dict:
-    return {
-        str(i): {
-            "t": node.t,
-            "newton_iterations": node.newton_iterations,
-            "final_residual": node.final_residual,
-            "min_eigenvalue": node.min_eigenvalue,
-            "u_max": node.u_max,
-            "grad_max": node.grad_max,
-            "b": node.b,
-        }
-        for i, node in enumerate(report.trace)
-    }
-
-
 def _monitors_tree(report) -> dict:
-    out = {}
-    for key, val in report.monitors.items():
-        if key == "gradient_bound":
-            out[key] = {
-                "bound_x": val.bound_x,
-                "observed_x": val.observed_x,
-                "bound_y": val.bound_y,
-                "observed_y": val.observed_y,
-                "applicable": val.applicable,
-                "passed": val.passed,
-            }
-        else:
-            out[key] = val
+    out = {key: asdict(val) if is_dataclass(val) else val
+           for key, val in report.monitors.items()}
     out["sigma_min_witness"] = report.sigma_min_witness
     return out
 
@@ -376,7 +349,7 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                 report = continuity_solve(spec, F, cfg.solver)
                 t_solve = time.time()
                 tree["normalization_shift"] = shift
-                tree["trace"] = _trace_tree(report)
+                tree["trace"] = [asdict(node) for node in report.trace]
                 tree["monitors"] = _monitors_tree(report)
                 tree["status"] = report.status.value
                 dumpio.write_field(out / "u.tma", report.u)
@@ -389,14 +362,7 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                     status = 3
                 else:
                     ver = verify_solution(report.u, F, spec, tol=cfg.verify_tol)
-                    tree["verification"] = {
-                        "anti_invariant_norm": ver.anti_invariant_norm,
-                        "positivity_margin": ver.positivity_margin,
-                        "topform_residual": ver.topform_residual,
-                        "volume_defect": ver.volume_defect,
-                        "potential_defect": ver.potential_defect,
-                        "passed": ver.passed,
-                    }
+                    tree["verification"] = asdict(ver)
                     tree["error_code"] = "none" if ver.passed else "verify"
                     status = 0 if ver.passed else 4
                 tree.setdefault("timing", {})["solve_seconds"] = t_solve - t_start
@@ -405,14 +371,7 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                 u = _load_field(cfg.solution, grid, names)
                 F = _load_field(cfg.datum, grid, names)
                 ver = verify_solution(u, F, spec, tol=cfg.verify_tol)
-                tree["verification"] = {
-                    "anti_invariant_norm": ver.anti_invariant_norm,
-                    "positivity_margin": ver.positivity_margin,
-                    "topform_residual": ver.topform_residual,
-                    "volume_defect": ver.volume_defect,
-                    "potential_defect": ver.potential_defect,
-                    "passed": ver.passed,
-                }
+                tree["verification"] = asdict(ver)
                 tree["status"] = "Verified" if ver.passed else "VerifyFailed"
                 tree["error_code"] = "none" if ver.passed else "verify"
                 status = 0 if ver.passed else 4
@@ -448,34 +407,24 @@ def _selftest(seed: int) -> tuple[dict, bool]:
     ok = True
 
     g3 = TorusGrid((16, 16, 16))
-    worst_anti, worst_ratio = 0.0, 0.0
-    spec = eq.EquationSpec(eq.Family.DETA_T3)
-    for _ in range(5):
-        u = random_trig_field(g3, rng, max_mode=2, scale=0.05)
-        st = eq.structure_for(spec, g3)
-        da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
-        _, anti = nf.type_split(da)
-        worst_anti = max(worst_anti, anti.max_norm() / max(1.0, da.max_norm()))
-        worst_ratio = max(worst_ratio, _rel(
-            eq.residual_geom(spec, u).values, eq.residual(spec, u).values))
-    results["flat_anti_max"] = worst_anti
-    results["flat_ratio_max"] = worst_ratio
-    ok = ok and worst_anti <= tol and worst_ratio <= tol
-
-    worst_anti, worst_ratio = 0.0, 0.0
-    for _ in range(5):
-        u = random_trig_field(g3, rng, max_mode=2, scale=0.05)
-        h = random_trig_field(g3, rng, max_mode=1, scale=0.3, axes=(0, 2))
-        spec_w = eq.EquationSpec(eq.Family.WARPED_T3, h=h)
-        st = eq.structure_for(spec_w, g3)
-        da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
-        _, anti = nf.type_split(da)
-        worst_anti = max(worst_anti, anti.max_norm() / max(1.0, da.max_norm()))
-        worst_ratio = max(worst_ratio, _rel(
-            eq.residual_geom(spec_w, u).values, eq.residual(spec_w, u).values))
-    results["warped_anti_max"] = worst_anti
-    results["warped_ratio_max"] = worst_ratio
-    ok = ok and worst_anti <= tol and worst_ratio <= tol
+    for name in ("flat", "warped"):
+        worst_anti, worst_ratio = 0.0, 0.0
+        for _ in range(5):
+            u = random_trig_field(g3, rng, max_mode=2, scale=0.05)
+            if name == "flat":
+                spec = eq.EquationSpec(eq.Family.DETA_T3)
+            else:
+                h = random_trig_field(g3, rng, max_mode=1, scale=0.3, axes=(0, 2))
+                spec = eq.EquationSpec(eq.Family.WARPED_T3, h=h)
+            st = eq.structure_for(spec, g3)
+            da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
+            _, anti = nf.type_split(da)
+            worst_anti = max(worst_anti, anti.max_norm() / max(1.0, da.max_norm()))
+            worst_ratio = max(worst_ratio, _rel(
+                eq.residual_geom(spec, u).values, eq.residual(spec, u).values))
+        results[f"{name}_anti_max"] = worst_anti
+        results[f"{name}_ratio_max"] = worst_ratio
+        ok = ok and worst_anti <= tol and worst_ratio <= tol
 
     g2 = TorusGrid((32, 32))
     worst = 0.0

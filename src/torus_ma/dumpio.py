@@ -8,6 +8,7 @@ shape) can be written alongside for external tools.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -33,10 +34,16 @@ def read_field(path: str | Path) -> ScalarField:
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path} is not a field dump (bad magic)")
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated header")
     (d,) = struct.unpack_from("<I", raw, 4)
-    sizes = struct.unpack_from(f"<{d}Q", raw, 8)
+    if not 2 <= d <= 5:
+        raise ValueError(f"{path}: dimension must be 2..5, got {d}")
     offset = 8 + 8 * d
-    count = int(np.prod(sizes))
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated header")
+    sizes = struct.unpack_from(f"<{d}Q", raw, 8)
+    count = math.prod(sizes)
     expected = offset + 8 * count
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")

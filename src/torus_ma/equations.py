@@ -14,8 +14,10 @@ two routes agree to grid roundoff rather than to an aliasing tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +116,11 @@ class EquationSpec:
     def axis_names(self) -> tuple[str, ...]:
         return family_axis_names(self.family, self.n)
 
+    @cached_property
+    def _exp_h(self) -> dict[int, np.ndarray]:
+        """e^{s h} for s = +1 and -1, formed once per spec."""
+        return {1: np.exp(self.h.values), -1: np.exp(-self.h.values)}
+
     @classmethod
     def lagr_x1x2_from_coframe(cls, params: CoframeParams) -> "EquationSpec":
         """Fibration over (x1, x2): l_i from the coordinate scales; the
@@ -158,72 +165,145 @@ def _check_grid(spec: EquationSpec, u: ScalarField) -> None:
         raise ValueError("h and u must share one grid")
 
 
-def _d1(u, ax):
-    return derivative(u, ax, 1).values
+def _minor(M: list, rows: tuple[int, ...], cols: tuple[int, ...]) -> list:
+    return [[x for j, x in enumerate(row) if j not in cols]
+            for i, row in enumerate(M) if i not in rows]
 
 
-def _d2(u, ax_a, ax_b):
-    return mixed_derivative(u, ax_a, ax_b).values
+def _det(M: list):
+    """Determinant of a small matrix of arrays (nested lists) by cofactor
+    expansion along the first row; complex entries pass through unchanged."""
+    if not M:
+        return 1.0
+    if len(M) == 1:
+        return M[0][0]
+    det = M[0][0] * _det(_minor(M, (0,), (0,)))
+    for j in range(1, len(M)):
+        term = M[0][j] * _det(_minor(M, (0,), (j,)))
+        det = det - term if j % 2 else det + term
+    return det
 
 
-def _warped_principal(u: ScalarField, h: ScalarField, axis: int, c: float = 0.0):
-    """(e^h u_a)_a + c * u_a along one axis, spectral derivative of the product."""
-    eh = np.exp(h.values)
-    ua = _d1(u, axis)
-    div = _d1(ScalarField(u.grid, eh * ua), axis)
-    return div + c * ua, ua
+# ---------------------------------------------------------------------------
+# one statement per family
+# ---------------------------------------------------------------------------
+#
+# A family reads a list of linear spectral features of u and builds from them
+# a pointwise coefficient matrix M; its residual is
+#     P = (det M - correction) / scale.
+# The residual, the linearization, the coefficient matrix and the warped
+# branch minima are all derived from that one statement.  Feature keys:
+# (a,) is u_a, (a, b) with a <= b is u_ab, and ("div", a, s) is the
+# divergence form (e^{s h} u_a)_a.
+
+class _Features(dict):
+    """Linear spectral features of one field, each taken on first use; a
+    weighted divergence reuses the u_a that a plain feature also takes."""
+
+    def __init__(self, spec: EquationSpec, u: ScalarField):
+        super().__init__()
+        self.spec, self.u = spec, u
+
+    def __missing__(self, key):
+        if key[0] == "div":
+            _, a, sign = key
+            flux = ScalarField(self.u.grid, self.spec._exp_h[sign] * self[(a,)])
+            val = derivative(flux, a, 1).values
+        elif len(key) == 1:
+            val = derivative(self.u, key[0], 1).values
+        else:
+            val = mixed_derivative(self.u, *key).values
+        self[key] = val
+        return val
 
 
-def _ndim_matrix(spec: EquationSpec, u: ScalarField) -> np.ndarray:
-    """The n x n second-order coefficient matrix of the n-dimensional families."""
-    n = spec.n
-    M = np.zeros(u.grid.sizes + (n, n))
+@dataclass(frozen=True)
+class _Statement:
+    features: Callable[[EquationSpec], tuple]
+    matrix: Callable[[EquationSpec, dict], list]
+    correction: Callable[[EquationSpec, dict, list], object] | None = None
+    scale: Callable[[EquationSpec], float] | None = None
+
+
+def _hessian_keys(n: int) -> tuple:
+    return tuple((i, j) for i in range(n) for j in range(i, n))
+
+
+def _hessian_matrix(n: int, f: dict, drift=0.0) -> list:
+    """I + Hess_{x_1..x_n} u, with `drift` added to the first diagonal entry."""
+    M = [[f[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            M[..., i, j] = _d2(u, min(i, j), max(i, j))
-    if spec.family is Family.NDIM_FULL:
-        # the first diagonal entry carries the fiber-direction second
-        # derivative and the drift term
-        M[..., 0, 0] += _d2(u, n, n) + _d1(u, n)
-    elif spec.family is Family.NDIM_B:
-        M[..., 0, 0] += _d1(u, 0)
-    M += np.eye(n)
+        M[i][i] = 1.0 + M[i][i]
+    M[0][0] = M[0][0] + drift
     return M
 
 
-def _minor(M: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    n = M.shape[-1]
-    rkeep = [i for i in range(n) if i not in rows]
-    ckeep = [j for j in range(n) if j not in cols]
-    return M[..., rkeep, :][..., :, ckeep]
+def _fiber_correction(s: EquationSpec, f: dict, M: list):
+    """Sum over k, m >= 1 of u_{x_k y1} u_{x_m y1} times the signed second
+    minor of M without rows (0, k) and columns (0, m)."""
+    n = s.n
+    return sum((-1) ** (k + m) * f[k, n] * f[m, n] * _det(_minor(M, (0, k), (0, m)))
+               for k in range(1, n) for m in range(1, n))
 
 
-def _det(M: np.ndarray) -> np.ndarray:
-    if M.shape[-1] == 0:
-        return np.ones(M.shape[:-2])
-    return np.linalg.det(M)
+_LAGRANGIAN = _Statement(
+    features=lambda s: ((0, 0), (1, 1), (0, 1), (0,), (1,)),
+    matrix=lambda s, f: [[s.l1 + f[0, 0], f[0, 1]],
+                         [f[0, 1], s.l2 + f[1, 1] + s.m1 * f[(0,)] + s.m2 * f[(1,)]]],
+    scale=lambda s: s.l1 * s.l2,
+)
+
+_STATEMENTS: dict[Family, _Statement] = {
+    Family.STDMA: _LAGRANGIAN,
+    Family.GENMA: _LAGRANGIAN,
+    Family.LAGR_X1X2: _LAGRANGIAN,
+    Family.LAGR_X2Y1: _LAGRANGIAN,
+    Family.WARPED: _Statement(
+        features=lambda s: (("div", 0, 1), (0,), (1, 1), (0, 1)),
+        matrix=lambda s, f: [[s._exp_h[-1] * (1.0 + f["div", 0, 1] + s.c * f[(0,)]), f[0, 1]],
+                             [f[0, 1], 1.0 + f[1, 1]]],
+    ),
+    Family.DETA_T3: _Statement(
+        features=lambda s: ((0, 0), (2, 2), (2,), (1, 1), (0, 1), (1, 2)),
+        matrix=lambda s, f: [[1.0 + f[0, 0] + f[2, 2] + f[(2,)], f[0, 1]],
+                             [f[0, 1], 1.0 + f[1, 1]]],
+        correction=lambda s, f, M: f[1, 2] ** 2,
+    ),
+    Family.WARPED_T3: _Statement(
+        features=lambda s: (("div", 0, 1), ("div", 2, -1), (2,), (1, 1), (0, 1), (1, 2)),
+        matrix=lambda s, f: [[1.0 + f["div", 0, 1] + f["div", 2, -1] + f[(2,)], f[0, 1]],
+                             [s._exp_h[1] * f[0, 1], 1.0 + f[1, 1]]],
+        correction=lambda s, f, M: s._exp_h[-1] * f[1, 2] ** 2,
+    ),
+    Family.NDIM_FULL: _Statement(
+        # the first diagonal entry carries the fiber-direction second
+        # derivative and the drift term
+        features=lambda s: (_hessian_keys(s.n) + ((s.n, s.n), (s.n,))
+                            + tuple((k, s.n) for k in range(1, s.n))),
+        matrix=lambda s, f: _hessian_matrix(s.n, f, f[s.n, s.n] + f[(s.n,)]),
+        correction=_fiber_correction,
+    ),
+    Family.NDIM_HESSIAN: _Statement(
+        features=lambda s: _hessian_keys(s.n),
+        matrix=lambda s, f: _hessian_matrix(s.n, f),
+    ),
+    Family.NDIM_B: _Statement(
+        features=lambda s: _hessian_keys(s.n) + ((0,),),
+        matrix=lambda s, f: _hessian_matrix(s.n, f, f[(0,)]),
+    ),
+}
 
 
-def _adjugate(M: np.ndarray) -> np.ndarray:
-    """Adjugate of a stacked small matrix by explicit cofactors."""
-    n = M.shape[-1]
-    adj = np.empty_like(M)
-    for i in range(n):
-        for j in range(n):
-            adj[..., i, j] = (-1) ** (i + j) * _det(_minor(M, (j,), (i,)))
-    return adj
-
-
-def _ndim_full_correction(spec: EquationSpec, u: ScalarField, M: np.ndarray):
-    """sum over k,m >= 2 of u_{x_k y1} u_{x_m y1} D_km with signed second minors."""
-    n = spec.n
-    uky = [_d2(u, k, n) for k in range(n)]
-    corr = np.zeros(u.grid.sizes)
-    for k in range(1, n):
-        for m in range(1, n):
-            Dkm = (-1) ** (k + m) * _det(_minor(M, (0, k), (0, m)))
-            corr += uky[k] * uky[m] * Dkm
-    return corr, uky
+def _pointwise(spec: EquationSpec, f: dict):
+    """The residual P of the family's statement at the feature values f."""
+    st = _STATEMENTS[spec.family]
+    M = st.matrix(spec, f)
+    P = _det(M)
+    if st.correction is not None:
+        P = P - st.correction(spec, f, M)
+    if st.scale is not None:
+        P = P / st.scale(spec)
+    return P
 
 
 def residual(spec: EquationSpec, u: ScalarField, dealias: bool = False) -> ScalarField:
@@ -238,35 +318,7 @@ def residual(spec: EquationSpec, u: ScalarField, dealias: bool = False) -> Scala
         spec_p = spec if spec.h is None else replace(spec, h=resample(spec.h, sizes))
         r = residual(spec_p, resample(u, sizes), dealias=False)
         return resample(r, u.grid.sizes)
-
-    fam = spec.family
-    if fam in (Family.STDMA, Family.GENMA, Family.LAGR_X1X2, Family.LAGR_X2Y1):
-        uxx, uyy, uxy = _d2(u, 0, 0), _d2(u, 1, 1), _d2(u, 0, 1)
-        second = spec.l2 + uyy + spec.m1 * _d1(u, 0) + spec.m2 * _d1(u, 1)
-        vals = ((spec.l1 + uxx) * second - uxy**2) / (spec.l1 * spec.l2)
-    elif fam is Family.WARPED:
-        emh = np.exp(-spec.h.values)
-        q1, _ = _warped_principal(u, spec.h, 0, spec.c)
-        vals = (emh * (1.0 + q1)) * (1.0 + _d2(u, 1, 1)) - _d2(u, 0, 1) ** 2
-    elif fam is Family.DETA_T3:
-        a11 = 1.0 + _d2(u, 0, 0) + _d2(u, 2, 2) + _d1(u, 2)
-        vals = (a11 * (1.0 + _d2(u, 1, 1)) - _d2(u, 0, 1) ** 2 - _d2(u, 1, 2) ** 2)
-    elif fam is Family.WARPED_T3:
-        eh = np.exp(spec.h.values)
-        emh = np.exp(-spec.h.values)
-        px, _ = _warped_principal(u, spec.h, 0)
-        hm = ScalarField(u.grid, -spec.h.values)
-        py, _ = _warped_principal(u, hm, 2)
-        a11 = 1.0 + px + py + _d1(u, 2)
-        ux1x2 = _d2(u, 0, 1)
-        vals = (a11 * (1.0 + _d2(u, 1, 1)) - eh * ux1x2**2 - emh * _d2(u, 1, 2) ** 2)
-    elif fam is Family.NDIM_FULL:
-        M = _ndim_matrix(spec, u)
-        corr, _ = _ndim_full_correction(spec, u, M)
-        vals = _det(M) - corr
-    else:  # NDIM_HESSIAN, NDIM_B
-        vals = _det(_ndim_matrix(spec, u))
-    return ScalarField(u.grid, vals)
+    return ScalarField(u.grid, _pointwise(spec, _Features(spec, u)))
 
 
 def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
@@ -276,16 +328,10 @@ def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
     if spec.family is not Family.NDIM_FULL or spec.n != 3:
         raise ValueError("the printed comparison form is stated for n = 3")
     _check_grid(spec, u)
-    n = 3
-    M = np.zeros(u.grid.sizes + (n, n))
-    for i in range(n):
-        for j in range(n):
-            M[..., i, j] = _d2(u, min(i, j), max(i, j))
-    M[..., 0, 0] += _d2(u, n, n) - _d1(u, n)
-    M += np.eye(n)
-    u2y, u3y = _d2(u, 1, 3), _d2(u, 2, 3)
-    u22, u33, u23 = _d2(u, 1, 1), _d2(u, 2, 2), _d2(u, 1, 2)
-    vals = (_det(M) - u33 * u2y**2 - u22 * u3y**2 - 2.0 * u23 * u2y * u3y)
+    f = _Features(spec, u)
+    M = _hessian_matrix(3, f, f[3, 3] - f[(3,)])
+    vals = (_det(M) - f[2, 2] * f[1, 3] ** 2 - f[1, 1] * f[2, 3] ** 2
+            - 2.0 * f[1, 2] * f[1, 3] * f[2, 3])
     return ScalarField(u.grid, vals)
 
 
@@ -293,12 +339,18 @@ def _padded_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-((-3 * ns) // 2) + (-((-3 * ns) // 2)) % 2 for ns in sizes)
 
 
+_COMPLEX_STEP = 1e-30
+
+
 def linearizer(spec: EquationSpec, u: ScalarField, dealias: bool = False):
     """Frechet derivative of residual at u, returned as a closure w -> L(w).
 
-    Coefficients frozen at u are precomputed once; per application only the
-    derivatives of w are taken.  With `dealias=True` the operator acts on the
-    3/2 zero-padded grid, consistently with the dealiased residual.
+    L(w) = sum_i g_i f_i(w) over the family's features f_i.  The weights
+    g_i = dP/df_i at f(u) are taken once per build by the complex step
+    Im P(f + i*eps*e_i) / eps (Squire & Trapp 1998), exact to roundoff for
+    the polynomial P; per application only the features of w are taken.
+    With `dealias=True` the operator acts on the 3/2 zero-padded grid,
+    consistently with the dealiased residual.
     """
     _check_grid(spec, u)
     if dealias:
@@ -310,124 +362,18 @@ def linearizer(spec: EquationSpec, u: ScalarField, dealias: bool = False):
             return resample(inner(resample(w, sizes)), u.grid.sizes)
 
         return apply_padded
-    fam = spec.family
 
-    if fam in (Family.STDMA, Family.GENMA, Family.LAGR_X1X2, Family.LAGR_X2Y1):
-        a = spec.l1 + _d2(u, 0, 0)
-        b = spec.l2 + _d2(u, 1, 1) + spec.m1 * _d1(u, 0) + spec.m2 * _d1(u, 1)
-        uxy = _d2(u, 0, 1)
-        ll = spec.l1 * spec.l2
-
-        def apply(w: ScalarField) -> ScalarField:
-            wxx, wyy, wxy = _d2(w, 0, 0), _d2(w, 1, 1), _d2(w, 0, 1)
-            first = spec.m1 * _d1(w, 0) + spec.m2 * _d1(w, 1)
-            return ScalarField(u.grid, (wxx * b + a * (wyy + first) - 2 * uxy * wxy) / ll)
-
-        return apply
-
-    if fam is Family.WARPED:
-        emh = np.exp(-spec.h.values)
-        eh = np.exp(spec.h.values)
-        q1, _ = _warped_principal(u, spec.h, 0, spec.c)
-        a11 = emh * (1.0 + q1)
-        a22 = 1.0 + _d2(u, 1, 1)
-        uxy = _d2(u, 0, 1)
-
-        def apply(w: ScalarField) -> ScalarField:
-            wx = _d1(w, 0)
-            dq = emh * (_d1(ScalarField(w.grid, eh * wx), 0) + spec.c * wx)
-            return ScalarField(u.grid, dq * a22 + a11 * _d2(w, 1, 1) - 2 * uxy * _d2(w, 0, 1))
-
-        return apply
-
-    if fam is Family.DETA_T3:
-        a11 = 1.0 + _d2(u, 0, 0) + _d2(u, 2, 2) + _d1(u, 2)
-        a22 = 1.0 + _d2(u, 1, 1)
-        u12 = _d2(u, 0, 1)
-        u2y = _d2(u, 1, 2)
-
-        def apply(w: ScalarField) -> ScalarField:
-            da11 = _d2(w, 0, 0) + _d2(w, 2, 2) + _d1(w, 2)
-            vals = (da11 * a22 + a11 * _d2(w, 1, 1)
-                    - 2 * u12 * _d2(w, 0, 1) - 2 * u2y * _d2(w, 1, 2))
-            return ScalarField(u.grid, vals)
-
-        return apply
-
-    if fam is Family.WARPED_T3:
-        eh = np.exp(spec.h.values)
-        emh = np.exp(-spec.h.values)
-        hm = ScalarField(u.grid, -spec.h.values)
-        px, _ = _warped_principal(u, spec.h, 0)
-        py, _ = _warped_principal(u, hm, 2)
-        a11 = 1.0 + px + py + _d1(u, 2)
-        a22 = 1.0 + _d2(u, 1, 1)
-        u12 = _d2(u, 0, 1)
-        u2y = _d2(u, 1, 2)
-
-        def apply(w: ScalarField) -> ScalarField:
-            wx1 = _d1(w, 0)
-            wy1 = _d1(w, 2)
-            da11 = (_d1(ScalarField(w.grid, eh * wx1), 0)
-                    + _d1(ScalarField(w.grid, emh * wy1), 2) + wy1)
-            vals = (da11 * a22 + a11 * _d2(w, 1, 1)
-                    - 2 * eh * u12 * _d2(w, 0, 1) - 2 * emh * u2y * _d2(w, 1, 2))
-            return ScalarField(u.grid, vals)
-
-        return apply
-
-    # n-dimensional determinant families
-    M = _ndim_matrix(spec, u)
-    adjM = _adjugate(M)
-    n = spec.n
-
-    if fam in (Family.NDIM_HESSIAN, Family.NDIM_B):
-        extra_axis = 0 if fam is Family.NDIM_B else None
-
-        def apply(w: ScalarField) -> ScalarField:
-            vals = np.zeros(u.grid.sizes)
-            for i in range(n):
-                for j in range(n):
-                    dm = _d2(w, min(i, j), max(i, j))
-                    if extra_axis is not None and i == j == 0:
-                        dm = dm + _d1(w, 0)
-                    vals += adjM[..., j, i] * dm
-            return ScalarField(u.grid, vals)
-
-        return apply
-
-    # NDIM_FULL: determinant part plus the signed-minor correction
-    uky = [_d2(u, k, n) for k in range(n)]
-    minors = {}
-    adj_minors = {}
-    for k in range(1, n):
-        for m in range(1, n):
-            mm = _minor(M, (0, k), (0, m))
-            minors[(k, m)] = (-1) ** (k + m) * _det(mm)
-            adj_minors[(k, m)] = _adjugate(mm) if n > 2 else None
+    keys = _STATEMENTS[spec.family].features(spec)
+    fu = _Features(spec, u)
+    f = {k: fu[k] for k in keys}
+    weights = [np.imag(_pointwise(spec, {**f, k: f[k] + 1j * _COMPLEX_STEP})) / _COMPLEX_STEP
+               for k in keys]
 
     def apply(w: ScalarField) -> ScalarField:
+        fw = _Features(spec, w)
         vals = np.zeros(u.grid.sizes)
-        for i in range(n):
-            for j in range(n):
-                dm = _d2(w, min(i, j), max(i, j))
-                if i == j == 0:
-                    dm = dm + _d2(w, n, n) + _d1(w, n)
-                vals += adjM[..., j, i] * dm
-        wky = [_d2(w, k, n) for k in range(n)]
-        rows_all = list(range(n))
-        for k in range(1, n):
-            for m in range(1, n):
-                vals -= (wky[k] * uky[m] + uky[k] * wky[m]) * minors[(k, m)]
-                if n > 2:
-                    rkeep = [i for i in rows_all if i not in (0, k)]
-                    ckeep = [j for j in rows_all if j not in (0, m)]
-                    dmin = np.zeros(u.grid.sizes)
-                    am = adj_minors[(k, m)]
-                    for ii, gi in enumerate(rkeep):
-                        for jj, gj in enumerate(ckeep):
-                            dmin += am[..., jj, ii] * _d2(w, min(gi, gj), max(gi, gj))
-                    vals -= uky[k] * uky[m] * (-1) ** (k + m) * dmin
+        for k, g in zip(keys, weights):
+            vals += g * fw[k]
         return ScalarField(u.grid, vals)
 
     return apply
@@ -459,39 +405,8 @@ def normalize_datum(spec: EquationSpec, F: ScalarField) -> ScalarField:
 def coefficient_matrix(spec: EquationSpec, u: ScalarField) -> np.ndarray:
     """The family's second-order coefficient matrix, stacked over the grid."""
     _check_grid(spec, u)
-    fam = spec.family
-    if fam in (Family.STDMA, Family.GENMA, Family.LAGR_X1X2, Family.LAGR_X2Y1):
-        M = np.zeros(u.grid.sizes + (2, 2))
-        M[..., 0, 0] = spec.l1 + _d2(u, 0, 0)
-        M[..., 1, 1] = spec.l2 + _d2(u, 1, 1) + spec.m1 * _d1(u, 0) + spec.m2 * _d1(u, 1)
-        M[..., 0, 1] = M[..., 1, 0] = _d2(u, 0, 1)
-        return M
-    if fam is Family.WARPED:
-        emh = np.exp(-spec.h.values)
-        q1, _ = _warped_principal(u, spec.h, 0, spec.c)
-        M = np.zeros(u.grid.sizes + (2, 2))
-        M[..., 0, 0] = emh * (1.0 + q1)
-        M[..., 1, 1] = 1.0 + _d2(u, 1, 1)
-        M[..., 0, 1] = M[..., 1, 0] = _d2(u, 0, 1)
-        return M
-    if fam is Family.DETA_T3:
-        M = np.zeros(u.grid.sizes + (2, 2))
-        M[..., 0, 0] = 1.0 + _d2(u, 0, 0) + _d2(u, 2, 2) + _d1(u, 2)
-        M[..., 1, 1] = 1.0 + _d2(u, 1, 1)
-        M[..., 0, 1] = M[..., 1, 0] = _d2(u, 0, 1)
-        return M
-    if fam is Family.WARPED_T3:
-        eh = np.exp(spec.h.values)
-        hm = ScalarField(u.grid, -spec.h.values)
-        px, _ = _warped_principal(u, spec.h, 0)
-        py, _ = _warped_principal(u, hm, 2)
-        M = np.zeros(u.grid.sizes + (2, 2))
-        M[..., 0, 0] = 1.0 + px + py + _d1(u, 2)
-        M[..., 1, 1] = 1.0 + _d2(u, 1, 1)
-        M[..., 0, 1] = _d2(u, 0, 1)
-        M[..., 1, 0] = eh * _d2(u, 0, 1)
-        return M
-    return _ndim_matrix(spec, u)
+    M = _STATEMENTS[spec.family].matrix(spec, _Features(spec, u))
+    return np.stack([np.stack(row, axis=-1) for row in M], axis=-2)
 
 
 def branch_sign(spec: EquationSpec) -> float:

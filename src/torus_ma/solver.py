@@ -31,6 +31,7 @@ from .equations import (
 )
 from .grid import (
     ScalarField,
+    _pad_axis,
     derivative,
     integrate,
     invert_shifted_laplacian,
@@ -135,15 +136,14 @@ def ellipticity_monitor(spec: EquationSpec, u: ScalarField) -> float:
 
 
 def warped_branch_minima(spec: EquationSpec, u: ScalarField) -> tuple[float, float]:
-    """Minima of the two diagonal branch quantities of the warped family:
-    (e^h u_x)_x + c u_x  and  1 + u_yy."""
+    """Minima of the two diagonal branch quantities of the warped family,
+    (e^h u_x)_x + c u_x = e^h M_11 - 1 and 1 + u_yy = M_22, read from its
+    coefficient matrix M."""
     if spec.family is not Family.WARPED:
         raise ValueError("branch minima are defined for the warped family")
-    eh = np.exp(spec.h.values)
-    ux = derivative(u, 0, 1)
-    prima = derivative(ScalarField(u.grid, eh * ux.values), 0, 1).values + spec.c * ux.values
-    seconda = 1.0 + derivative(u, 1, 2).values
-    return float(np.min(prima)), float(np.min(seconda))
+    M = coefficient_matrix(spec, u)
+    prima = np.exp(spec.h.values) * M[..., 0, 0] - 1.0
+    return float(np.min(prima)), float(np.min(M[..., 1, 1]))
 
 
 def _target_log_rhs(spec: EquationSpec, F: ScalarField, t: float) -> ScalarField:
@@ -204,12 +204,14 @@ def newton_solve(
     """
     if abs(integrate(u0)) > 1e-8:
         raise ValueError("u0 must be mean-zero")
-    if ellipticity_monitor(spec, u0) < cfg.delta:
+    u = project_mean_zero(u0)
+    # the ellipticity margin of the current iterate, reported with it
+    margin = ellipticity_monitor(spec, u)
+    if margin < cfg.delta:
         raise ValueError("u0 lies outside the elliptic branch")
 
     grid = u0.grid
     eG = np.exp(G.values)
-    u = project_mean_zero(u0)
     b = float(b0)
 
     def res_vals(uu, bb):
@@ -241,7 +243,8 @@ def newton_solve(
         branch_blocked = 0
         for _bt in range(cfg.max_backtracks):
             u_try = project_mean_zero(ScalarField(grid, u.values + step * w_vals))
-            if ellipticity_monitor(spec, u_try) < cfg.delta:
+            margin_try = ellipticity_monitor(spec, u_try)
+            if margin_try < cfg.delta:
                 branch_blocked += 1
                 step *= cfg.damping
                 continue
@@ -249,7 +252,7 @@ def newton_solve(
             r_try = res_vals(u_try, b_try)
             n_try = float(np.max(np.abs(r_try)))
             if n_try <= (1.0 - 1e-4 * step) * hist[-1] or n_try <= cfg.newton_tol:
-                u, b, r = u_try, b_try, r_try
+                u, b, r, margin = u_try, b_try, r_try, margin_try
                 hist.append(n_try)
                 # inexact-Newton forcing term (Eisenstat & Walker 1996),
                 # tightened quadratically with the observed contraction so the
@@ -271,7 +274,8 @@ def newton_solve(
             status = Status.CONVERGED
 
     return SolveReport(u=u, b=b, status=status, newton_history=hist,
-                       monitors={"krylov_matvecs": matvecs, "krylov_capped": capped},
+                       monitors={"krylov_matvecs": matvecs, "krylov_capped": capped,
+                                 "ellipticity_min": margin},
                        sigma_min_witness=witness)
 
 
@@ -291,11 +295,12 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
     b = 0.0
     t = 0.0
     dt = cfg.dt_init
+    margin = ellipticity_monitor(spec, u)
     trace = [TraceNode(t=0.0, newton_iterations=0,
                        final_residual=float(np.max(np.abs(
                            residual(spec, u).values
                            - np.exp(_target_log_rhs(spec, F, 0.0).values)))),
-                       min_eigenvalue=ellipticity_monitor(spec, u),
+                       min_eigenvalue=margin,
                        u_max=0.0, grad_max=0.0, b=0.0)]
     witness = float("inf")
     history: list[float] = []
@@ -313,14 +318,14 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
         matvecs += rep.monitors["krylov_matvecs"]
         capped += rep.monitors["krylov_capped"]
         if rep.converged:
-            u, b = rep.u, rep.b
+            u, b, margin = rep.u, rep.b, rep.monitors["ellipticity_min"]
             t = t_try
             history = rep.newton_history
             trace.append(TraceNode(
                 t=t,
                 newton_iterations=len(rep.newton_history) - 1,
                 final_residual=rep.newton_history[-1],
-                min_eigenvalue=ellipticity_monitor(spec, u),
+                min_eigenvalue=margin,
                 u_max=u.max_norm(),
                 grad_max=_grad_max(u),
                 b=b,
@@ -338,7 +343,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
 
     report = SolveReport(u=u, b=b, status=status, trace=trace,
                          newton_history=history, sigma_min_witness=witness)
-    report.monitors["ellipticity_min"] = ellipticity_monitor(spec, u)
+    report.monitors["ellipticity_min"] = margin
     report.monitors["abs_b"] = abs(b)
     report.monitors["krylov_matvecs"] = matvecs
     report.monitors["krylov_capped"] = capped
@@ -361,25 +366,11 @@ def _profile(h: ScalarField, axis: int = 0) -> np.ndarray:
     return vals.reshape(vals.shape[0], -1)[:, 0]
 
 
-def _fine_profile(p: np.ndarray, m: int) -> np.ndarray:
-    """Spectral interpolation of a periodic 1-d sample onto m points."""
-    n = p.size
-    if m == n:
-        return p.copy()
-    hat = np.fft.fft(p)
-    out = np.zeros(m, dtype=complex)
-    half = n // 2
-    out[:half] = hat[:half]
-    out[m - half + 1:] = hat[half + 1:]
-    out[half] = hat[half] / 2.0
-    out[m - half] += hat[half] / 2.0
-    return np.real(np.fft.ifft(out)) * (m / n)
-
-
 def _bound_constant(h1d: np.ndarray, c: float, m: int = 8192) -> float:
     """The explicit sup bound for 1-periodic v with a zero satisfying
     e^h v' + (c + e^h h') v > -1, by quadrature of the comparison integrals."""
-    hf = _fine_profile(h1d, m)
+    n = h1d.size
+    hf = np.real(np.fft.ifft(_pad_axis(np.fft.fft(h1d), 0, n, m))) * (m / n)
     s = np.arange(m) / m
     hat = np.fft.fft(hf)
     k = np.fft.fftfreq(m, d=1.0 / m)

@@ -229,6 +229,27 @@ class TestRunPipeline:
             out=str(tmp_path / "run"), seed=0)
         return cli.main(["solve", "--config", cfg])
 
+    def _solve_dump(self, tmp_path, raw):
+        dump = tmp_path / "datum.tma"
+        dump.write_bytes(raw)
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="solve", family="STDMA", grid=[32, 32],
+            datum={"dump": str(dump)}, out=str(tmp_path / "run"), seed=0)
+        return cli.main(["solve", "--config", cfg])
+
+    def test_huge_dimension_dump_exits_two(self, tmp_path):
+        # the header's dimension used to be unpacked unchecked and escaped as
+        # a struct.error
+        raw = b"TMA1" + (4 * 10**9).to_bytes(4, "little") + bytes(64)
+        (tmp_path / "x.tma").write_bytes(raw)
+        with pytest.raises(ValueError):
+            dumpio.read_field(tmp_path / "x.tma")
+        assert self._solve_dump(tmp_path, raw) == 2
+
+    def test_bad_magic_dump_exits_two(self, tmp_path):
+        # used to exit 3 as a solver failure
+        assert self._solve_dump(tmp_path, b"NOPE" + bytes(32)) == 2
+
     def test_zero_lin_restart_exits_two(self, tmp_path):
         # used to divide by zero when sizing the GMRES outer iterations
         assert self._solve_with(tmp_path, {"lin_restart": 0}) == 2

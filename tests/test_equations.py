@@ -300,6 +300,55 @@ class TestLinearize:
                 epsilon /= 2.0
 
 
+def _family_cases():
+    g2, g3 = TorusGrid((16, 16)), TorusGrid((8, 8, 8))
+    h2 = from_function(g2, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
+    h3 = from_function(g3, lambda x1, x2, y1: 0.3 * np.sin(2 * np.pi * (x1 + y1)))
+    cases = [
+        (eq.EquationSpec(eq.Family.STDMA), g2),
+        (eq.EquationSpec(eq.Family.GENMA), g2),
+        (eq.EquationSpec(eq.Family.LAGR_X1X2, l1=1.4, l2=0.7), g2),
+        (eq.EquationSpec(eq.Family.LAGR_X2Y1, l1=-1.1, l2=-0.9, m1=0.4, m2=-0.3), g2),
+        (eq.EquationSpec(eq.Family.WARPED, c=1.0, h=h2), g2),
+        (eq.EquationSpec(eq.Family.DETA_T3), g3),
+        (eq.EquationSpec(eq.Family.WARPED_T3, h=h3), g3),
+        (eq.EquationSpec(eq.Family.NDIM_FULL, n=3), TorusGrid((8,) * 4)),
+        (eq.EquationSpec(eq.Family.NDIM_HESSIAN, n=3), g3),
+        (eq.EquationSpec(eq.Family.NDIM_B, n=3), g3),
+    ]
+    return [pytest.param(spec, grid, id=spec.family.value) for spec, grid in cases]
+
+
+@pytest.mark.parametrize("spec,grid", _family_cases())
+def test_linearizer_takes_each_derivative_once(spec, grid, rng, monkeypatch):
+    # one forward transform of w, one inverse per distinct feature, and per
+    # weighted divergence (e^{sh} w_a)_a one forward of the weighted product
+    # plus one inverse for w_a unless w_a is itself a feature
+    u = random_trig_field(grid, rng, max_mode=1, scale=0.05)
+    w = random_trig_field(grid, rng, max_mode=1, scale=1.0)
+    L = eq.linearizer(spec, u)
+    keys = eq._STATEMENTS[spec.family].features(spec)
+    divs = [k for k in keys if k[0] == "div"]
+    assert len(set(keys)) == len(keys)
+    expected_fwd = 1 + len(divs)
+    expected_inv = len(keys) + sum((k[1],) not in keys for k in divs)
+    counts = {"fftn": 0, "ifftn": 0}
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    L(w)
+    monkeypatch.undo()
+    assert counts == {"fftn": expected_fwd, "ifftn": expected_inv}
+
+
 class TestManufactureAndNormalize:
     def test_zero_candidate_gives_zero_datum(self, grid2):
         spec = eq.EquationSpec(eq.Family.STDMA)

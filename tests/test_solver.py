@@ -203,6 +203,36 @@ class TestContinuity:
         assert rep.monitors["krylov_capped"] == 0
         assert rep.monitors["krylov_matvecs"] > 0
 
+    def test_ellipticity_margin_reused(self, g64, star64, monkeypatch):
+        # the margin of an accepted iterate is known from its Newton trial (or
+        # the entry check), so it is not computed again for the trace or the
+        # final monitor
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, star64))
+        calls = {"monitor": 0, "residual": 0, "newton": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sv, "ellipticity_monitor",
+                            counted("monitor", sv.ellipticity_monitor))
+        monkeypatch.setattr(sv, "residual", counted("residual", sv.residual))
+        monkeypatch.setattr(sv, "newton_solve", counted("newton", sv.newton_solve))
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig())
+        monkeypatch.undo()
+        assert rep.converged
+        # t = 0 and every node entry evaluate one residual each; every other
+        # residual belongs to a Newton trial that passed the branch check
+        trials = calls["residual"] - 1 - calls["newton"]
+        assert trials > 0
+        assert calls["monitor"] == 1 + calls["newton"] + trials
+        fresh = sv.ellipticity_monitor(spec, rep.u)
+        assert rep.monitors["ellipticity_min"] == fresh
+        assert rep.trace[-1].min_eigenvalue == fresh
+
     def test_sigma_witness_recorded(self, g64, star64):
         spec = eq.EquationSpec(eq.Family.STDMA)
         F = eq.manufactured_datum(spec, star64)
