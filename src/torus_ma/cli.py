@@ -24,6 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, is_dataclass
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -187,11 +188,11 @@ def build_spec(cfg: RunConfig, grid: TorusGrid) -> eq.EquationSpec:
     except ValueError as exc:
         raise ConfigError(f"unknown family {cfg.family!r}") from exc
     params = cfg.params
-    h = None
-    if cfg.h_expr is not None:
-        names = eq.family_axis_names(family, int(params.get("n", 2)))
-        h = evaluate_expression(cfg.h_expr, grid, names)
     try:
+        n = int(params.get("n", 2))
+        h = None
+        if cfg.h_expr is not None:
+            h = evaluate_expression(cfg.h_expr, grid, eq.family_axis_names(family, n))
         return eq.EquationSpec(
             family,
             l1=float(params.get("l1", 1.0)),
@@ -200,9 +201,9 @@ def build_spec(cfg: RunConfig, grid: TorusGrid) -> eq.EquationSpec:
             m2=float(params.get("m2", 0.0)),
             c=float(params.get("c", 0.0)),
             h=h,
-            n=int(params.get("n", 2)),
+            n=n,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -277,16 +278,22 @@ def read_report(path: str | Path) -> dict:
 # pipeline
 # ---------------------------------------------------------------------------
 
+_OUTPUTS = ("report.txt", "*.tma", "*.csv")
+
+
 def _prepare_out(cfg: RunConfig, force: bool) -> Path:
+    """Create the output directory; `force` clears only what a run writes."""
     out = cfg.out
-    if out.exists() and any(out.iterdir()):
-        if not force:
-            raise ConfigError(f"output directory {out} is not empty (use --force)")
-        for p in sorted(out.rglob("*"), reverse=True):
-            if p.is_file():
-                p.unlink()
-            else:
-                p.rmdir()
+    entries = list(out.iterdir()) if out.exists() else []
+    if entries and not force:
+        raise ConfigError(f"output directory {out} is not empty (use --force)")
+    foreign = sorted(p.name for p in entries if not (
+        p.is_file() and any(fnmatch(p.name, pat) for pat in _OUTPUTS)))
+    if foreign:
+        raise ConfigError(f"--force only replaces {', '.join(_OUTPUTS)}; "
+                          f"{out} also holds {foreign}")
+    for p in entries:
+        p.unlink()
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -375,8 +382,12 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                 tree["status"] = "Verified" if ver.passed else "VerifyFailed"
                 tree["error_code"] = "none" if ver.passed else "verify"
                 status = 0 if ver.passed else 4
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        tree["status"] = "ConfigError"
+        tree["error_code"] = "config"
+        tree["message"] = str(exc)
+        status = 2
     except ValueError as exc:
         tree["status"] = "SolverError"
         tree["error_code"] = "solver"
@@ -417,11 +428,11 @@ def _selftest(seed: int) -> tuple[dict, bool]:
                 h = random_trig_field(g3, rng, max_mode=1, scale=0.3, axes=(0, 2))
                 spec = eq.EquationSpec(eq.Family.WARPED_T3, h=h)
             st = eq.structure_for(spec, g3)
-            da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
+            w, da = nf.ansatz_forms(u, st)
             _, anti = nf.type_split(da)
             worst_anti = max(worst_anti, anti.max_norm() / max(1.0, da.max_norm()))
             worst_ratio = max(worst_ratio, _rel(
-                eq.residual_geom(spec, u).values, eq.residual(spec, u).values))
+                nf.top_form_ratio(w, st).values, eq.residual(spec, u).values))
         results[f"{name}_anti_max"] = worst_anti
         results[f"{name}_ratio_max"] = worst_ratio
         ok = ok and worst_anti <= tol and worst_ratio <= tol

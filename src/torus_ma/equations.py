@@ -422,9 +422,9 @@ def structure_for(spec: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
     """Invariant-coframe structure whose reduction is the family's equation."""
     fam = spec.family
     if fam is Family.STDMA:
-        return nf.kodaira_thurston(grid, ("e1", "e2"))
+        return nf.nil_bundle(grid, 2, ("e1", "e2"))
     if fam is Family.GENMA:
-        return nf.kodaira_thurston(grid, ("e2", "f1"))
+        return nf.nil_bundle(grid, 2, ("e2", "f1"))
     if fam is Family.LAGR_X1X2:
         s = 1 if spec.l1 > 0 else -1
         a = 1.0 / np.sqrt(abs(spec.l1))
@@ -445,16 +445,12 @@ def structure_for(spec: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
         mu = spec.coframe.mu if spec.coframe is not None else 0.0
         return nf.lagrangian_coframe_xy(grid, a, c0, lam=lam, mu=mu, nu=nu, sign=s)
     if fam is Family.WARPED:
-        if not spec.h.grid.compatible(grid):
-            raise ValueError("h must live on the target grid")
-        warp = ScalarField(grid, -spec.h.values)
-        return nf.kodaira_thurston(grid, ("f1", "e2"), warp=warp, twist=spec.c)
+        warp = ScalarField(spec.h.grid, -spec.h.values)
+        return nf.nil_bundle(grid, 2, ("f1", "e2"), warp=warp, twist=spec.c)
     if fam is Family.DETA_T3:
-        return nf.kodaira_thurston(grid, ("e1", "e2", "f1"))
+        return nf.nil_bundle(grid, 2, ("e1", "e2", "f1"))
     if fam is Family.WARPED_T3:
-        if not spec.h.grid.compatible(grid):
-            raise ValueError("h must live on the target grid")
-        return nf.kodaira_thurston(grid, ("e1", "e2", "f1"), warp=spec.h)
+        return nf.nil_bundle(grid, 2, ("e1", "e2", "f1"), warp=spec.h)
     if fam is Family.NDIM_FULL:
         axes = tuple(f"e{k + 1}" for k in range(spec.n)) + ("f1",)
         return nf.nil_bundle(grid, spec.n, axes)
@@ -472,8 +468,7 @@ def residual_geom(spec: EquationSpec, u: ScalarField) -> ScalarField:
     rebuild omega + d(alpha) and expand its top wedge power."""
     _check_grid(spec, u)
     st = structure_for(spec, u.grid)
-    alpha = nf.ansatz_one_form(u, st)
-    w = nf.form_add(st.omega, nf.exterior_derivative(alpha))
+    w, _ = nf.ansatz_forms(u, st)
     ratio = nf.top_form_ratio(w, st)
     if spec.family is Family.WARPED:
         return ScalarField(u.grid, np.exp(-spec.h.values) * ratio.values)

@@ -49,14 +49,11 @@ class InvariantForm:
     structure: "NilStructure"
     degree: int
     terms: dict[tuple[int, ...], "np.ndarray | float"] = field(default_factory=dict)
-    base_axes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         for key in self.terms:
             if len(key) != self.degree or list(key) != sorted(set(key)):
                 raise ValueError(f"bad index tuple {key} for degree {self.degree}")
-        if self.base_axes is None:
-            self.base_axes = tuple(range(self.structure.grid.d))
 
     def coefficient(self, key: tuple[int, ...]) -> np.ndarray:
         c = self.terms.get(tuple(key), 0.0)
@@ -67,9 +64,9 @@ class InvariantForm:
             return 0.0
         return max(float(np.max(np.abs(np.asarray(c)))) for c in self.terms.values())
 
-    def prune(self, tol: float = 0.0) -> "InvariantForm":
+    def prune(self) -> "InvariantForm":
         kept = {k: c for k, c in self.terms.items() if not _is_zero(c)}
-        return InvariantForm(self.structure, self.degree, kept, self.base_axes)
+        return InvariantForm(self.structure, self.degree, kept)
 
 
 @dataclass(eq=False)
@@ -80,11 +77,10 @@ class NilStructure:
     j_table[i] expresses J(theta^i) as {j: coefficient} with field or constant
     coefficients; coord_forms[axis] expresses the differential of grid
     coordinate `axis` as {label: constant}.  `correction` lists the terms
-    added to -J du by the scalar ansatz: (constant, label, None) contributes
-    constant * u * theta^label.
+    added to -J du by the scalar ansatz: (constant, label) contributes
+    constant * u * theta^label (see `ansatz_correction`).
     """
 
-    name: str
     labels: tuple[str, ...]
     grid: TorusGrid
     d_table: dict[int, dict[tuple[int, int], float]]
@@ -116,9 +112,6 @@ class NilStructure:
 
     def zero_form(self, degree: int) -> InvariantForm:
         return InvariantForm(self, degree, {})
-
-    def one_form(self, coeffs: dict[str, "np.ndarray | float"]) -> InvariantForm:
-        return InvariantForm(self, 1, {(self.index(k),): v for k, v in coeffs.items()})
 
     def validate(self, tol: float = 1e-12) -> None:
         """Check J^2 = -1 on the coframe and J-invariance of omega, pointwise."""
@@ -289,20 +282,32 @@ def top_form_ratio(w: InvariantForm, structure: NilStructure | None = None) -> S
     return ScalarField(st.grid, vals.copy())
 
 
-def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:
-    """The scalar-potential 1-form: -J du plus the structure's correction terms.
+def ansatz_correction(u: ScalarField, structure: NilStructure) -> InvariantForm:
+    """a(u): the structure's correction terms, constant multiples of u.
 
-    The corrections are the unique constant-coefficient multiples of u making
-    the differential of the result J-invariant for every u on the base.
+    They are the unique constant-coefficient multiples of u making the
+    differential of -J du + a(u) J-invariant for every u on the base.
     """
+    return InvariantForm(structure, 1, {(label,): coeff * u.values
+                                        for coeff, label in structure.correction
+                                        if coeff != 0.0})
+
+
+def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:
+    """The scalar-potential 1-form alpha = -J du + a(u)."""
     du = scalar_differential(structure, u)
-    alpha = form_scale(apply_J(du), -1.0)
-    for coeff, label in structure.correction:
-        if coeff == 0.0:
-            continue
-        alpha = form_add(alpha, InvariantForm(
-            structure, 1, {(label,): coeff * u.values}))
-    return alpha.prune()
+    return form_add(form_scale(apply_J(du), -1.0), ansatz_correction(u, structure)).prune()
+
+
+def ansatz_forms(u: ScalarField, structure: NilStructure) -> tuple[InvariantForm, InvariantForm]:
+    """(omega + d alpha, d alpha) for the ansatz one-form alpha of u.
+
+    The updated form and its update share one exterior derivative, so a
+    caller that needs both (type split, top-form ratio, compatibility,
+    potential defect) takes d alpha once.
+    """
+    d_alpha = exterior_derivative(ansatz_one_form(u, structure))
+    return form_add(structure.omega, d_alpha), d_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -314,75 +319,46 @@ def _paired_omega(rank: int) -> dict[tuple[int, int], float]:
     return {(k, n + k): 1.0 for k in range(n)}
 
 
-def kodaira_thurston(
+def nil_bundle(
     grid: TorusGrid,
+    n: int,
     axis_labels: tuple[str, ...],
     warp: ScalarField | None = None,
     twist: float = 1.0,
 ) -> NilStructure:
-    """Kodaira-Thurston coframe (e1, e2, f1, f2) with df2 = -twist * e1^e2.
+    """Nil-bundle coframe (e1..en, f1..fn) with d f_k = twist * e_k ^ e1.
 
     `axis_labels` assigns a coframe label to each grid axis (the base
-    coordinates); `warp` is the exponent field h of the warped almost-complex
-    action J(e1) = -e^h f1, J(f1) = e^-h e1 (h = 0 when omitted).  The scalar
-    ansatz correction is -twist * u * e1, which restores J-invariance of the
-    differential for any base function u.
-    """
-    labels = ("e1", "e2", "f1", "f2")
-    e1, e2, f1, f2 = 0, 1, 2, 3
-    d_table = {f2: {(e1, e2): -float(twist)}} if twist != 0.0 else {}
-    if warp is not None:
-        if not warp.grid.compatible(grid):
-            raise ValueError("warp field must live on the structure grid")
-        eh = np.exp(warp.values)
-        emh = np.exp(-warp.values)
-    else:
-        eh = 1.0
-        emh = 1.0
-    j_table = {
-        e1: {f1: -eh},
-        e2: {f2: -1.0},
-        f1: {e1: emh},
-        f2: {e2: 1.0},
-    }
-    coord_forms = tuple({labels.index(lab): 1.0} for lab in axis_labels)
-    return NilStructure(
-        name="kodaira_thurston",
-        labels=labels,
-        grid=grid,
-        d_table=d_table,
-        j_table=j_table,
-        omega_terms=_paired_omega(4),
-        coord_forms=coord_forms,
-        correction=((-float(twist), e1),) if twist != 0.0 else (),
-    )
-
-
-def nil_bundle(grid: TorusGrid, n: int, axis_labels: tuple[str, ...]) -> NilStructure:
-    """Higher-dimensional analogue: coframe (e1..en, f1..fn), dfk = e_k ^ e1.
-
-    J maps e_k -> -f_k, f_k -> e_k; omega pairs e_k with f_k.  For n = 2 this
-    reproduces the Kodaira-Thurston structure constants.
+    coordinates).  J maps e_k -> -f_k and f_k -> e_k, except that `warp` is
+    the exponent field h of the warped action on the first pair,
+    J(e1) = -e^h f1, J(f1) = e^-h e1 (h = 0 when omitted); omega pairs e_k
+    with f_k.  The scalar ansatz correction is -twist * u * e1.  For n = 2
+    this is the Kodaira-Thurston coframe (e1, e2, f1, f2) with
+    d f2 = -twist * e1 ^ e2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     labels = tuple(f"e{k + 1}" for k in range(n)) + tuple(f"f{k + 1}" for k in range(n))
-    # d f_k = e_k ^ e_1, stored on the increasing pair as -(e_1 ^ e_k)
-    d_table = {n + k: {(0, k): -1.0} for k in range(1, n)}
-    j_table = {}
-    for k in range(n):
+    # d f_k = twist * e_k ^ e_1, stored on the increasing pair as -twist * (e_1 ^ e_k)
+    d_table = {n + k: {(0, k): -float(twist)} for k in range(1, n)} if twist != 0.0 else {}
+    eh, emh = 1.0, 1.0
+    if warp is not None:
+        if not warp.grid.compatible(grid):
+            raise ValueError("warp field must live on the structure grid")
+        eh, emh = np.exp(warp.values), np.exp(-warp.values)
+    j_table = {0: {n: -eh}, n: {0: emh}}
+    for k in range(1, n):
         j_table[k] = {n + k: -1.0}
         j_table[n + k] = {k: 1.0}
     coord_forms = tuple({labels.index(lab): 1.0} for lab in axis_labels)
     return NilStructure(
-        name=f"nil_bundle_{n}",
         labels=labels,
         grid=grid,
         d_table=d_table,
         j_table=j_table,
         omega_terms=_paired_omega(2 * n),
         coord_forms=coord_forms,
-        correction=((-1.0, 0),),
+        correction=((-float(twist), 0),) if twist != 0.0 else (),
     )
 
 
@@ -413,7 +389,6 @@ def lagrangian_coframe_xx(
     j_table = {a1: {b1: -s}, a2: {b2: -s}, b1: {a1: s}, b2: {a2: s}}
     coord_forms = ({a1: float(scale_x)}, {a2: float(scale_y)})
     return NilStructure(
-        name="lagrangian_xx",
         labels=labels,
         grid=grid,
         d_table=d_table,
@@ -457,7 +432,6 @@ def lagrangian_coframe_xy(
     j_table = {a1: {b1: -s}, a2: {b2: -s}, b1: {a1: s}, b2: {a2: s}}
     coord_forms = ({a2: float(scale_x)}, {b1: float(scale_y)})
     return NilStructure(
-        name="lagrangian_xy",
         labels=labels,
         grid=grid,
         d_table=d_table,

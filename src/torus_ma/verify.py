@@ -42,8 +42,7 @@ def reconstruct_form(
 ) -> nf.InvariantForm:
     """omega + d(alpha(u)) on the family's coframe structure."""
     st = structure if structure is not None else structure_for(spec, u.grid)
-    alpha = nf.ansatz_one_form(u, st)
-    return nf.form_add(st.omega, nf.exterior_derivative(alpha))
+    return nf.ansatz_forms(u, st)[0]
 
 
 def _vector_j_matrix(st: nf.NilStructure) -> np.ndarray:
@@ -83,6 +82,12 @@ def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
     return float(np.min(np.linalg.eigvalsh(G)[..., 0]))
 
 
+def _potential_defect(u: ScalarField, w: nf.InvariantForm) -> float:
+    st = w.structure
+    da_w = nf.wedge(nf.exterior_derivative(nf.ansatz_correction(u, st)), w)
+    return da_w.max_norm() / max(nf.wedge(st.omega, st.omega).max_norm(), 1.0)
+
+
 def potential_defect(
     u: ScalarField,
     spec: EquationSpec,
@@ -91,16 +96,7 @@ def potential_defect(
     """Max coefficient of d(a) ^ w relative to omega^2, where a is the ansatz
     correction (the part of alpha beyond -J du); zero exactly when u is a
     potential for the reconstructed form."""
-    st = structure if structure is not None else structure_for(spec, u.grid)
-    corr = st.zero_form(1)
-    for coeff, label in st.correction:
-        if coeff != 0.0:
-            corr = nf.form_add(corr, nf.InvariantForm(
-                st, 1, {(label,): coeff * u.values}))
-    w = nf.form_add(st.omega, nf.exterior_derivative(nf.ansatz_one_form(u, st)))
-    da_w = nf.wedge(nf.exterior_derivative(corr), w)
-    om2 = nf.wedge(st.omega, st.omega)
-    return da_w.max_norm() / max(om2.max_norm(), 1.0)
+    return _potential_defect(u, reconstruct_form(u, spec, structure))
 
 
 def verify_solution(
@@ -119,16 +115,15 @@ def verify_solution(
     if not u.grid.compatible(F.grid):
         raise ValueError("u and F must share one grid")
     st = structure_for(spec, u.grid)
-    w = reconstruct_form(u, spec, structure=st)
-    delta = nf.form_sub(w, st.omega)
-    _, anti = nf.type_split(delta)
+    w, d_alpha = nf.ansatz_forms(u, st)
+    _, anti = nf.type_split(d_alpha)
     anti_norm = anti.max_norm()
 
     ratio = nf.top_form_ratio(w, st)
     topform = float(np.max(np.abs(ratio.values - np.exp(F.values))))
     volume = abs(integrate(ratio) - 1.0)
     margin = compatibility_margin(w, sign=branch_sign(spec))
-    pot = potential_defect(u, spec, structure=st)
+    pot = _potential_defect(u, w)
     passed = bool(anti_norm <= tol and topform <= tol and volume <= tol and margin > 0.0)
     return VerificationReport(
         anti_invariant_norm=anti_norm,

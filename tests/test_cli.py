@@ -311,6 +311,47 @@ class TestRunPipeline:
         assert cli.main(["selftest", "--config", cfg]) == 2
         assert cli.main(["selftest", "--config", cfg, "--force"]) == 0
 
+    def test_force_keeps_files_the_tool_did_not_write(self, tmp_path):
+        # --force used to delete everything under the output directory
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        (out / "notes.txt").write_text("keep")
+        (out / "sub" / "data.bin").write_bytes(b"keep")
+        (out / "u.tma").write_bytes(b"old")
+        cfg = write_config(tmp_path / "cfg.json", mode="selftest", out=str(out), seed=0)
+        assert cli.main(["selftest", "--config", cfg, "--force"]) == 2
+        assert (out / "notes.txt").read_text() == "keep"
+        assert (out / "sub" / "data.bin").read_bytes() == b"keep"
+        assert (out / "u.tma").read_bytes() == b"old"
+        assert not (out / "report.txt").exists()
+        # the tool's own outputs alone are replaced
+        (out / "notes.txt").unlink()
+        (out / "sub" / "data.bin").unlink()
+        (out / "sub").rmdir()
+        (out / "datum.csv").write_text("old")
+        (out / "report.txt").write_text("old")
+        assert cli.main(["selftest", "--config", cfg, "--force"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+        assert cli.read_report(out / "report.txt")["status"] == "Pass"
+
+    def test_config_error_in_run_writes_report(self, tmp_path):
+        # a bad dump used to leave an empty output directory
+        assert self._solve_dump(tmp_path, b"NOPE" + bytes(32)) == 2
+        report = cli.read_report(tmp_path / "run" / "report.txt")
+        assert report["status"] == "ConfigError"
+        assert report["error_code"] == "config"
+        assert "magic" in report["message"]
+
+    @pytest.mark.parametrize("params", [{"n": "two"}, {"n": None}, {"c": [1.0]}])
+    def test_malformed_family_parameter_exits_two(self, tmp_path, params):
+        # with h set, a non-integer n used to exit 3 as a solver failure
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="solve", family="WARPED", grid=[16, 16],
+            params=params, h="0.3*sin(2*pi*x)", datum={"expr": "0.1*sin(2*pi*x)"},
+            out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert cli.read_report(tmp_path / "run" / "report.txt")["status"] == "ConfigError"
+
     def test_determinism_modulo_timing(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.json", mode="solve", family="STDMA",
                              grid=[32, 32],

@@ -19,7 +19,7 @@ from conftest import permutation_sign, rel_err
 
 
 def kt3(grid, warp=None):
-    return nf.kodaira_thurston(grid, ("e1", "e2", "f1"), warp=warp)
+    return nf.nil_bundle(grid, 2, ("e1", "e2", "f1"), warp=warp)
 
 
 def random_form(st, degree, rng, scale=1.0):
@@ -59,6 +59,28 @@ class TestStructures:
         df2 = nf.exterior_derivative(nf.InvariantForm(st, 1, {(st.index("f2"),): 1.0}))
         assert df2.terms.keys() == {(0, 1)}
         assert np.max(np.abs(df2.coefficient((0, 1)) + 1.0)) == 0.0
+
+    @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
+    def test_kodaira_thurston_is_the_n2_bundle(self, grid3, rng, warped):
+        h = random_trig_field(grid3, rng, max_mode=2, scale=0.5, axes=(0, 2))
+        warp = h if warped else None
+        eh, emh = (np.exp(h.values), np.exp(-h.values)) if warped else (1.0, 1.0)
+        st = nf.nil_bundle(grid3, 2, ("e1", "e2", "f1"), warp=warp, twist=0.7)
+        assert st.labels == ("e1", "e2", "f1", "f2")
+        e1, e2, f1, f2 = range(4)
+        # d f2 = -twist e1 ^ e2, correction -twist u e1
+        assert st.d_table == {f2: {(e1, e2): -0.7}}
+        assert st.correction == ((-0.7, e1),)
+        # J(e1) = -e^h f1, J(f1) = e^-h e1, J(e2) = -f2, J(f2) = e2
+        assert st.j_table[e1].keys() == {f1} and st.j_table[f1].keys() == {e1}
+        assert np.array_equal(st.j_table[e1][f1], -eh)
+        assert np.array_equal(st.j_table[f1][e1], emh)
+        assert st.j_table[e2] == {f2: -1.0} and st.j_table[f2] == {e2: 1.0}
+        assert st.omega_terms == {(e1, f1): 1.0, (e2, f2): 1.0}
+        assert st.coord_forms == ({e1: 1.0}, {e2: 1.0}, {f1: 1.0})
+        # twist = 0 (the WARPED c = 0 case): a closed coframe, no correction
+        flat = nf.nil_bundle(grid3, 2, ("e1", "e2", "f1"), warp=warp, twist=0.0)
+        assert flat.d_table == {} and flat.correction == ()
 
     def test_structure_equations_bundle(self):
         g = TorusGrid((8, 8, 8, 8))

@@ -111,6 +111,31 @@ class TestVerifySolution:
         with pytest.raises(ValueError):
             vf.verify_solution(u, F, spec)
 
+    @pytest.mark.parametrize("family, sizes, n", [
+        ("STDMA", (32, 32), 2),
+        ("WARPED_T3", (16, 16, 16), 2),
+        ("NDIM_FULL", (8, 8, 8, 8), 3),
+    ], ids=["STDMA", "WARPED_T3", "NDIM_FULL"])
+    def test_verify_takes_each_exterior_derivative_once(self, monkeypatch, rng,
+                                                        family, sizes, n):
+        # du, d(alpha) and d(a): the reconstruction, the type split, the
+        # top-form ratio and the potential defect share one d(alpha)
+        g = TorusGrid(sizes)
+        h = (random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0, 2))
+             if family == "WARPED_T3" else None)
+        spec = eq.EquationSpec(eq.Family(family), n=n, h=h)
+        u = branch_safe_field(g, rng, max_mode=1, hessian_scale=0.3)
+        calls = []
+        inner = nf.exterior_derivative
+
+        def counted(a):
+            calls.append(a.degree)
+            return inner(a)
+
+        monkeypatch.setattr(nf, "exterior_derivative", counted)
+        vf.verify_solution(u, zero_field(g), spec)
+        assert sorted(calls) == [0, 1, 1]
+
 
 class TestVolumeConservation:
     def test_any_potential_preserves_volume(self, rng):
