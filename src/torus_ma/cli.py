@@ -284,17 +284,20 @@ _OUTPUTS = ("report.txt", "*.tma", "*.csv")
 def _prepare_out(cfg: RunConfig, force: bool) -> Path:
     """Create the output directory; `force` clears only what a run writes."""
     out = cfg.out
-    entries = list(out.iterdir()) if out.exists() else []
-    if entries and not force:
-        raise ConfigError(f"output directory {out} is not empty (use --force)")
-    foreign = sorted(p.name for p in entries if not (
-        p.is_file() and any(fnmatch(p.name, pat) for pat in _OUTPUTS)))
-    if foreign:
-        raise ConfigError(f"--force only replaces {', '.join(_OUTPUTS)}; "
-                          f"{out} also holds {foreign}")
-    for p in entries:
-        p.unlink()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        entries = list(out.iterdir()) if out.exists() else []
+        if entries and not force:
+            raise ConfigError(f"output directory {out} is not empty (use --force)")
+        foreign = sorted(p.name for p in entries if not (
+            p.is_file() and any(fnmatch(p.name, pat) for pat in _OUTPUTS)))
+        if foreign:
+            raise ConfigError(f"--force only replaces {', '.join(_OUTPUTS)}; "
+                              f"{out} also holds {foreign}")
+        for p in entries:
+            p.unlink()
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -182,6 +182,41 @@ def _det(M: list):
         term = M[0][j] * _det(_minor(M, (0,), (j,)))
         det = det - term if j % 2 else det + term
     return det
+
+
+def symmetric_part(X: Callable[[int, int], object], r: int, sign: float = 1.0) -> list:
+    """sign (X + X^T) / 2 as nested lists, each entry formed once from X(a, b)."""
+    upper = {(a, b): 0.5 * sign * (X(a, b) + X(b, a)) for a in range(r) for b in range(a, r)}
+    return [[upper[min(a, b), max(a, b)] for b in range(r)] for a in range(r)]
+
+
+def min_eigenvalue(S: list) -> float:
+    """Minimum over the grid of the smallest eigenvalue of a symmetric matrix S
+    (nested lists of fields or constants): np.min(np.linalg.eigvalsh(stack)[..., 0])
+    bit for bit, with no stack built.  A diagonal point gives its least diagonal
+    entry, as LAPACK does (it rescales, and rounds, only entries beyond 1e+-146).
+    Elsewhere LAPACK sees only the points whose Gershgorin bound lb comes within
+    a slack, for the rounding of lb and LAPACK's backward error, of an
+    eigenvalue found at the points of lowest lb."""
+    r = len(S)
+    shape = np.broadcast_shapes(*(np.shape(x) for row in S for x in row)) or (1,)
+    radius = [sum(abs(S[i][j]) for j in range(r) if j != i) for i in range(r)]
+    lb = np.broadcast_to(reduce(np.minimum, [S[i][i] - radius[i] for i in range(r)]), shape).ravel()
+    diagonal = np.broadcast_to(reduce(np.maximum, radius), shape).ravel() == 0
+    scale = np.max([np.max(abs(S[i][i]) + radius[i]) for i in range(r)])
+    slack = 64 * r * r * np.finfo(float).eps * scale
+
+    def lowest(points):
+        at = np.unravel_index(points, shape)
+        stack = np.array([[np.broadcast_to(x, shape)[at] for x in row] for row in S], dtype=float)
+        return np.linalg.eigvalsh(np.moveaxis(stack, -1, 0))[:, 0]
+
+    found = lb[diagonal]
+    rest = np.flatnonzero(~diagonal)
+    if rest.size:
+        found = np.append(found, lowest(rest[np.argpartition(lb[rest], min(8, rest.size) - 1)[:8]]))
+        found = np.append(found, lowest(rest[~(lb[rest] > np.min(found) + slack)]))
+    return float(np.min(found))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +437,15 @@ def normalize_datum(spec: EquationSpec, F: ScalarField) -> ScalarField:
     return ScalarField(F.grid, F.values - shift)
 
 
+def coefficient_entries(spec: EquationSpec, u: ScalarField) -> list:
+    """The family's second-order coefficient matrix as nested lists of fields."""
+    _check_grid(spec, u)
+    return _STATEMENTS[spec.family].matrix(spec, _Features(spec, u))
+
+
 def coefficient_matrix(spec: EquationSpec, u: ScalarField) -> np.ndarray:
     """The family's second-order coefficient matrix, stacked over the grid."""
-    _check_grid(spec, u)
-    M = _STATEMENTS[spec.family].matrix(spec, _Features(spec, u))
-    return np.stack([np.stack(row, axis=-1) for row in M], axis=-2)
+    return np.stack([np.stack(row, axis=-1) for row in coefficient_entries(spec, u)], axis=-2)
 
 
 def branch_sign(spec: EquationSpec) -> float:

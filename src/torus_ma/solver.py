@@ -25,9 +25,12 @@ from .equations import (
     EquationSpec,
     Family,
     branch_sign,
+    coefficient_entries,
     coefficient_matrix,
     linearizer,
+    min_eigenvalue,
     residual,
+    symmetric_part,
 )
 from .grid import (
     ScalarField,
@@ -129,10 +132,10 @@ def _grad_max(u: ScalarField) -> float:
 
 def ellipticity_monitor(spec: EquationSpec, u: ScalarField) -> float:
     """Minimum over the grid of the smallest eigenvalue of the symmetrized,
-    branch-sign-adjusted coefficient matrix."""
-    M = coefficient_matrix(spec, u) * branch_sign(spec)
-    sym = 0.5 * (M + np.swapaxes(M, -1, -2))
-    return float(np.min(np.linalg.eigvalsh(sym)[..., 0]))
+    branch-sign-adjusted coefficient matrix.  Exact: `min_eigenvalue` runs
+    LAPACK only at the Gershgorin candidates."""
+    M = coefficient_entries(spec, u)
+    return min_eigenvalue(symmetric_part(lambda a, b: M[a][b], len(M), branch_sign(spec)))
 
 
 def warped_branch_minima(spec: EquationSpec, u: ScalarField) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nilframe as nf
-from .equations import EquationSpec, branch_sign, structure_for
+from .equations import EquationSpec, branch_sign, min_eigenvalue, structure_for, symmetric_part
 from .grid import ScalarField, integrate
 
 
@@ -45,41 +45,22 @@ def reconstruct_form(
     return nf.ansatz_forms(u, st)[0]
 
 
-def _vector_j_matrix(st: nf.NilStructure) -> np.ndarray:
-    """J acting on the dual frame, stacked over the grid: column b holds the
-    frame components of J applied to the b-th frame vector."""
-    r = st.rank
-    J = np.zeros(st.grid.sizes + (r, r))
-    for i in range(r):
-        for b, coeff in st.j_table.get(i, {}).items():
-            J[..., i, b] = np.broadcast_to(np.asarray(coeff, dtype=float), st.grid.sizes)
-    return J
-
-
-def _form_matrix(w: nf.InvariantForm) -> np.ndarray:
-    """Antisymmetric coefficient matrix of a 2-form in the dual frame."""
-    st = w.structure
-    r = st.rank
-    W = np.zeros(st.grid.sizes + (r, r))
-    for (i, j), c in w.terms.items():
-        vals = np.broadcast_to(np.asarray(c, dtype=float), st.grid.sizes)
-        W[..., i, j] = vals
-        W[..., j, i] = -vals
-    return W
-
-
 def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
     """Min over the grid of the smallest eigenvalue of the symmetrized
-    pairing w(., J.); positive iff w tames and is compatible with J.
+    pairing w(., J.); positive iff w tames and is compatible with J.  Exact:
+    `min_eigenvalue` runs LAPACK only at the Gershgorin candidates.
 
     `sign` flips the pairing for the families tracking the negative branch,
     where the compatible metric is built from the opposite orientation of the
     almost-complex action (matching the branch adjustment of the ellipticity
     monitor)."""
     st = w.structure
-    G = _form_matrix(w) @ _vector_j_matrix(st)
-    G = 0.5 * sign * (G + np.swapaxes(G, -1, -2))
-    return float(np.min(np.linalg.eigvalsh(G)[..., 0]))
+    W = {**w.terms, **{(j, i): -c for (i, j), c in w.terms.items()}}
+    # (WJ)[a, b] sums W[a, i] J[i, b] over the nonzeros of column b of J;
+    # every coframe's J has one per column, so this is a dense matmul's float
+    cols = [[(i, row[b]) for i, row in st.j_table.items() if b in row] for b in range(st.rank)]
+    WJ = lambda a, b: sum(W[a, i] * c for i, c in cols[b] if (a, i) in W)
+    return min_eigenvalue(symmetric_part(WJ, st.rank, sign))
 
 
 def _potential_defect(u: ScalarField, w: nf.InvariantForm) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +337,31 @@ class TestRunPipeline:
         assert cli.main(["selftest", "--config", cfg, "--force"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
         assert cli.read_report(out / "report.txt")["status"] == "Pass"
+
+    def test_out_is_a_regular_file_exits_two(self, tmp_path, capsys):
+        # an existing file as the output directory used to escape as a
+        # NotADirectoryError traceback (exit 1)
+        out = tmp_path / "run"
+        out.write_text("keep")
+        cfg = write_config(tmp_path / "cfg.json", mode="selftest", out=str(out), seed=0)
+        assert cli.main(["selftest", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+        nested = write_config(tmp_path / "nested.json", mode="selftest",
+                              out=str(out / "sub"), seed=0)
+        assert cli.main(["selftest", "--config", nested]) == 2
+
+    def test_python_m_runs_the_command_line(self, tmp_path):
+        # `python -m torus_ma` failed with "No module named torus_ma.__main__"
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        cfg = write_config(tmp_path / "cfg.json", mode="selftest",
+                           out=str(tmp_path / "run"), seed=0)
+        done = subprocess.run([sys.executable, "-m", "torus_ma", "selftest", "--config", cfg],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert cli.read_report(tmp_path / "run" / "report.txt")["status"] == "Pass"
 
     def test_config_error_in_run_writes_report(self, tmp_path):
         # a bad dump used to leave an empty output directory

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,156 @@ class TestPotentialDefect:
         g = TorusGrid((32, 32))
         u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.4)
         assert vf.potential_defect(u, eq.EquationSpec(eq.Family.GENMA)) > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the smallest-eigenvalue kernel behind both positivity monitors
+# ---------------------------------------------------------------------------
+
+def _dense_min(stack):
+    return float(np.min(np.linalg.eigvalsh(stack)[..., 0]))
+
+
+def _nested(stack):
+    r = stack.shape[-1]
+    return [[stack[..., i, j] for j in range(r)] for i in range(r)]
+
+
+def _dense_pairing(w, sign):
+    """sign * (WJ + (WJ)^T) / 2 stacked over the grid, by a dense matmul."""
+    st = w.structure
+    r, shape = st.rank, st.grid.sizes
+    W, J = np.zeros(shape + (r, r)), np.zeros(shape + (r, r))
+    for (i, j), c in w.terms.items():
+        W[..., i, j] = c
+        W[..., j, i] = -np.asarray(c)
+    for i, row in st.j_table.items():
+        for b, c in row.items():
+            J[..., i, b] = c
+    G = W @ J
+    return 0.5 * sign * (G + np.swapaxes(G, -1, -2))
+
+
+def _dense_coefficients(spec, u):
+    M = eq.coefficient_matrix(spec, u) * eq.branch_sign(spec)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _star2(g):
+    # acceptance criterion 4's manufactured solutions and warp profiles
+    return project_mean_zero(from_function(
+        g, lambda x, y: 0.012 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        + 0.002 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)))
+
+
+def _star_hessian(g):
+    # acceptance criterion 9's candidate for the Hessian family
+    return project_mean_zero(from_function(
+        g, lambda x1, x2, x3: 0.008 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+        + 0.006 * np.cos(2 * np.pi * x2) * np.sin(2 * np.pi * x3)))
+
+
+@functools.cache
+def _criterion_fields():
+    """(spec, u) for every family at the fields of criteria 4 and 9."""
+    g2, g3 = TorusGrid((64, 64)), TorusGrid((32, 32, 32))
+    h2 = from_function(g2, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
+    h3 = from_function(g3, lambda x1, x2, y1: 0.2 * np.sin(2 * np.pi * x1)
+                       + 0.15 * np.cos(2 * np.pi * y1))
+    star3 = project_mean_zero(from_function(
+        g3, lambda x1, x2, y1: 0.01 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1)
+        + 0.008 * np.cos(2 * np.pi * x2) * np.sin(2 * np.pi * y1)))
+    lagr = {"m1": 0.3, "m2": -0.2}
+    F = eq.Family
+    return {
+        "STDMA": (eq.EquationSpec(F.STDMA), _star2(g2)),
+        "GENMA": (eq.EquationSpec(F.GENMA), _star2(g2)),
+        "LAGR_X1X2(+1)": (eq.EquationSpec(F.LAGR_X1X2, l1=1.0, l2=1.0), _star2(g2)),
+        "LAGR_X1X2(-1)": (eq.EquationSpec(F.LAGR_X1X2, l1=-1.0, l2=-1.0), _star2(g2)),
+        "LAGR_X2Y1(+1)": (eq.EquationSpec(F.LAGR_X2Y1, l1=1.0, l2=1.0, **lagr), _star2(g2)),
+        "LAGR_X2Y1(-1)": (eq.EquationSpec(F.LAGR_X2Y1, l1=-1.0, l2=-1.0, **lagr), _star2(g2)),
+        "WARPED(c=0)": (eq.EquationSpec(F.WARPED, c=0.0, h=h2), _star2(g2)),
+        "WARPED(c=1)": (eq.EquationSpec(F.WARPED, c=1.0, h=h2), _star2(g2)),
+        "DETA_T3": (eq.EquationSpec(F.DETA_T3), star3),
+        "WARPED_T3": (eq.EquationSpec(F.WARPED_T3, h=h3), star3),
+        "NDIM_FULL": (eq.EquationSpec(F.NDIM_FULL, n=3), branch_safe_field(
+            TorusGrid((16,) * 4), np.random.default_rng(109), max_mode=1, hessian_scale=0.3)),
+        "NDIM_HESSIAN": (eq.EquationSpec(F.NDIM_HESSIAN, n=3), _star_hessian(g3)),
+        "NDIM_B": (eq.EquationSpec(F.NDIM_B, n=3), _star_hessian(g3)),
+    }
+
+
+def _symmetric(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+@functools.cache
+def _stack_cases():
+    rng = np.random.default_rng(5)
+    shape = (13, 11)
+    cases = {f"random-r{r}": _symmetric(rng.standard_normal(shape + (r, r)))
+             for r in (1, 2, 3, 4, 6)}
+    one = _symmetric(rng.standard_normal((4, 4)))
+    cases["constant"] = np.broadcast_to(one, shape + (4, 4)).copy()
+    ties = _symmetric(rng.standard_normal(shape + (4, 4))) + 10.0 * np.eye(4)
+    ties[rng.random(shape) < 0.5] = one  # half the points tie at the minimum
+    cases["ties"] = ties
+    cases["diagonal"] = rng.standard_normal(shape + (5,))[..., None] * np.eye(5)
+    partly = _symmetric(rng.standard_normal(shape + (3, 3)))
+    partly[rng.random(shape) < 0.5] *= np.eye(3)
+    cases["partly-diagonal"] = partly
+    a = rng.standard_normal(shape + (4, 4))
+    cases["negative-definite"] = _symmetric(-(a @ np.swapaxes(a, -1, -2)) - 0.1 * np.eye(4))
+    return cases
+
+
+def _case_stack(name):
+    if name.endswith(("-G", "-M")):
+        spec, u = _criterion_fields()[name[:-2]]
+        if name.endswith("-M"):
+            return _dense_coefficients(spec, u)
+        return _dense_pairing(vf.reconstruct_form(u, spec), eq.branch_sign(spec))
+    return _stack_cases()[name]
+
+
+@pytest.mark.parametrize("name", list(_stack_cases())
+                         + [f"{f}-{m}" for f in _criterion_fields() for m in "GM"])
+def test_min_eigenvalue_matches_eigvalsh(name):
+    # bit for bit, not approximately: LAPACK still takes the minimum
+    stack = _case_stack(name)
+    assert eq.min_eigenvalue(_nested(stack)) == _dense_min(stack)
+
+
+@pytest.mark.parametrize("name", list(_criterion_fields()))
+def test_monitors_match_dense_eigvalsh(name):
+    # the monitors build the pairing and coefficient entries without a
+    # stack; the minima equal those of the dense matrices exactly
+    spec, u = _criterion_fields()[name]
+    sign = eq.branch_sign(spec)
+    assert vf.compatibility_margin(vf.reconstruct_form(u, spec), sign) == _dense_min(
+        _case_stack(f"{name}-G"))
+    assert sv.ellipticity_monitor(spec, u) == _dense_min(_case_stack(f"{name}-M"))
+
+
+@pytest.mark.parametrize("name,sizes", [("STDMA", (64, 64)), ("NDIM_HESSIAN", (24, 24, 24))],
+                         ids=["STDMA", "NDIM_HESSIAN"])
+def test_margin_calls_lapack_on_few_points(monkeypatch, name, sizes):
+    # both monitors used to pass every grid point to eigvalsh
+    g = TorusGrid(sizes)
+    spec = _criterion_fields()[name][0]
+    u = _star2(g) if g.d == 2 else _star_hessian(g)
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def counted(a):
+        seen.append(a.size // a.shape[-1] ** 2)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for field, limit in ((u, 0.1 * g.npoints), (zero_field(g), 0)):
+        seen.clear()
+        vf.compatibility_margin(vf.reconstruct_form(field, spec), eq.branch_sign(spec))
+        assert sum(seen) <= limit
+        seen.clear()
+        sv.ellipticity_monitor(spec, field)
+        assert sum(seen) <= limit
