@@ -147,7 +147,13 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     family = raw.get("family")
     if mode != "selftest" and family is None:
         raise ConfigError("family is required outside selftest mode")
-    grid_sizes = tuple(raw.get("grid", (32, 32)))
+    grid_sizes = raw.get("grid", [32, 32])
+    if not isinstance(grid_sizes, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in grid_sizes):
+        raise ConfigError(f"grid must be a list of integers, got {grid_sizes!r}")
+    csv = raw.get("csv", False)
+    if not isinstance(csv, bool):
+        raise ConfigError(f"csv must be true or false, got {csv!r}")
     params = dict(raw.get("params", {}))
     solver_kwargs = dict(raw.get("solver", {}))
     try:
@@ -168,7 +174,7 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     return RunConfig(
         mode=mode,
         family=family,
-        grid_sizes=grid_sizes,
+        grid_sizes=tuple(grid_sizes),
         params=params,
         h_expr=raw.get("h"),
         datum=datum,
@@ -177,7 +183,7 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
         verify_tol=float(raw.get("verify_tol", 1e-8)),
         out=out,
         seed=int(raw.get("seed", 0)),
-        csv=bool(raw.get("csv", False)),
+        csv=csv,
         raw=raw,
     )
 
@@ -360,6 +366,8 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                 t_solve = time.time()
                 tree["normalization_shift"] = shift
                 tree["trace"] = [asdict(node) for node in report.trace]
+                tree["rejected"] = [{**asdict(a), "status": a.status.value}
+                                    for a in report.rejected]
                 tree["monitors"] = _monitors_tree(report)
                 tree["status"] = report.status.value
                 dumpio.write_field(out / "u.tma", report.u)

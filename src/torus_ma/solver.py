@@ -15,7 +15,8 @@ a diagnostic of that compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, fields
 from enum import Enum
 
 import numpy as np
@@ -48,6 +49,7 @@ class Status(str, Enum):
     BRANCH_LOST = "BranchLost"
     MAX_ITERATIONS = "MaxIterations"
     LINEAR_SOLVE_STALLED = "LinearSolveStalled"
+    NEWTON_STALLED = "NewtonStalled"
 
 
 @dataclass
@@ -56,7 +58,7 @@ class SolverConfig:
     max_newton: int = 40
     damping: float = 0.5
     max_backtracks: int = 25
-    dt_init: float = 0.5
+    dt_init: float = 1.0
     dt_min: float = 1e-4
     max_steps: int = 200
     lin_rtol: float = 1e-9
@@ -67,6 +69,13 @@ class SolverConfig:
     dealias: bool = False
 
     def __post_init__(self):
+        # annotations are strings here (postponed evaluation)
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kind = {"bool": bool, "int": int}.get(f.type, (int, float))
+            if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, kind) \
+                    or not math.isfinite(v):
+                raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
         if self.newton_tol <= 0 or self.lin_rtol <= 0 or self.delta <= 0:
             raise ValueError("tolerances must be positive")
         for name in ("max_newton", "max_backtracks", "max_steps", "lin_maxiter", "lin_restart"):
@@ -94,6 +103,14 @@ class TraceNode:
 
 
 @dataclass
+class RejectedAttempt:
+    t: float
+    status: Status
+    newton_iterations: int
+    krylov_matvecs: int
+
+
+@dataclass
 class GradientBoundResult:
     bound_x: float
     observed_x: float
@@ -109,6 +126,7 @@ class SolveReport:
     b: float
     status: Status
     trace: list[TraceNode] = dc_field(default_factory=list)
+    rejected: list[RejectedAttempt] = dc_field(default_factory=list)
     newton_history: list[float] = dc_field(default_factory=list)
     monitors: dict = dc_field(default_factory=dict)
     sigma_min_witness: float = float("inf")
@@ -203,7 +221,12 @@ def newton_solve(
     """Damped Newton on { residual(u) - e^G - b = 0 ; mean(u) = 0 }.
 
     Steps are backtracked on the max-norm residual; any trial that would drop
-    the ellipticity margin below cfg.delta is shortened.
+    the ellipticity margin below cfg.delta is shortened.  A node whose
+    accepted step is shorter than the accepted step before it, with the
+    residual still above cfg.newton_tol, is abandoned as NEWTON_STALLED:
+    the line search is cutting deeper instead of relaxing towards the full
+    step, and the caller does better with a shorter continuation step than
+    with more Newton steps (Deuflhard 2004, ch. 5).
     """
     if abs(integrate(u0)) > 1e-8:
         raise ValueError("u0 must be mean-zero")
@@ -226,6 +249,7 @@ def newton_solve(
     status = Status.MAX_ITERATIONS
     forcing = 1e-2
     matvecs = capped = 0
+    last_step = 0.0
 
     for _ in range(cfg.max_newton):
         if hist[-1] <= cfg.newton_tol:
@@ -272,6 +296,10 @@ def newton_solve(
             status = Status.BRANCH_LOST if branch_blocked == cfg.max_backtracks \
                 else Status.MAX_ITERATIONS
             break
+        if step < last_step and hist[-1] > cfg.newton_tol:
+            status = Status.NEWTON_STALLED
+            break
+        last_step = step
     else:
         if hist[-1] <= cfg.newton_tol:
             status = Status.CONVERGED
@@ -284,6 +312,13 @@ def newton_solve(
 
 def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> SolveReport:
     """Adaptive path-following from t = 0 to t = 1, warm-starting Newton.
+
+    The first attempt covers the whole interval (cfg.dt_init = 1 by
+    default).  A step clipped at t = 1 becomes the step actually tried, so a
+    failure halves that step and no attempt repeats an earlier one.  After a
+    node accepted in at most 4 Newton steps the step doubles; after a failed
+    attempt it halves, and the run stops once it falls below cfg.dt_min.
+    Every failed attempt is listed in `rejected`.
 
     F must be normalized (flat-measure integral of e^F equal to 1); the
     compatibility integral is necessary for the volume-preserving families,
@@ -307,6 +342,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
                        u_max=0.0, grad_max=0.0, b=0.0)]
     witness = float("inf")
     history: list[float] = []
+    rejected: list[RejectedAttempt] = []
     status = Status.STEP_FAILED
     matvecs = capped = 0
 
@@ -315,6 +351,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
             status = Status.CONVERGED
             break
         t_try = min(1.0, t + dt)
+        dt = t_try - t
         G = _target_log_rhs(spec, F, t_try)
         rep = newton_solve(spec, G, u, cfg, b0=b)
         witness = min(witness, rep.sigma_min_witness)
@@ -336,6 +373,10 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
             if len(rep.newton_history) <= 5:
                 dt = min(2.0 * dt, 1.0)
         else:
+            rejected.append(RejectedAttempt(
+                t=t_try, status=rep.status,
+                newton_iterations=len(rep.newton_history) - 1,
+                krylov_matvecs=rep.monitors["krylov_matvecs"]))
             dt *= 0.5
             if dt < cfg.dt_min:
                 status = rep.status
@@ -344,7 +385,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
         if t >= 1.0:
             status = Status.CONVERGED
 
-    report = SolveReport(u=u, b=b, status=status, trace=trace,
+    report = SolveReport(u=u, b=b, status=status, trace=trace, rejected=rejected,
                          newton_history=history, sigma_min_witness=witness)
     report.monitors["ellipticity_min"] = margin
     report.monitors["abs_b"] = abs(b)

@@ -262,6 +262,17 @@ class TestRunPipeline:
         # used to run with no trial step and report a lost branch
         assert self._solve_with(tmp_path, {"max_backtracks": 0}) == 2
 
+    def test_nan_newton_tol_exits_two(self, tmp_path):
+        # NaN passed every range check (NaN <= 0 is false): no residual met
+        # it, so this run exited 3, and a zero datum died in a
+        # ZeroDivisionError traceback inside the forcing term (exit 1)
+        assert self._solve_with(tmp_path, {"newton_tol": float("nan")}) == 2
+
+    def test_float_lin_maxiter_exits_two(self, tmp_path):
+        # 1e9 reached gmres as a float iteration count and died in a
+        # TypeError traceback (exit 1)
+        assert self._solve_with(tmp_path, {"lin_maxiter": 1e9}) == 2
+
     @pytest.mark.parametrize("solver", [
         {"max_newton": 0}, {"max_steps": 0}, {"lin_maxiter": 0},
         {"damping": 0.0}, {"damping": 1.0}, {"sigma": 0.0}, {"sigma": -1.0},
@@ -280,6 +291,21 @@ class TestRunPipeline:
         assert cli.main(["solve", "--config", cfg]) == 3
         report = cli.read_report(tmp_path / "run" / "report.txt")
         assert report["error_code"] == "solver"
+
+    def test_rejected_attempts_reported(self, tmp_path):
+        # a failed continuity attempt used to leave no trace in the report
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="solve", family="STDMA", grid=[32, 32],
+            datum={"expr": "0.8*sin(2*pi*x)*sin(2*pi*y)"},
+            solver={"max_newton": 1, "dt_init": 1.0, "dt_min": 0.6},
+            out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["solve", "--config", cfg]) == 3
+        rejected = cli.read_report(tmp_path / "run" / "report.txt")["rejected"]
+        assert list(rejected) == ["0"]
+        assert rejected["0"]["t"] == "1.0"
+        assert rejected["0"]["status"] == "MaxIterations"
+        assert rejected["0"]["newton_iterations"] == "1"
+        assert int(rejected["0"]["krylov_matvecs"]) > 0
 
     def test_branch_violation_exits_three(self, tmp_path):
         # a manufactured candidate that leaves the elliptic branch
@@ -307,6 +333,29 @@ class TestRunPipeline:
             tmp_path / "cfg.json", mode="solve", family="STDMA", grid=[31, 32],
             datum={"expr": "0.1*sin(2*pi*x)"}, out=str(tmp_path / "run"), seed=0)
         assert cli.main(["solve", "--config", cfg]) == 2
+
+    def test_fractional_grid_size_exits_two(self, tmp_path):
+        # [8.5, 8] ran on an 8x8 grid while the report echoed 8.5x8
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="solve", family="STDMA", grid=[8.5, 8],
+            datum={"expr": "0.1*sin(2*pi*x)"}, out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["solve", "--config", cfg]) == 2
+
+    def test_scalar_grid_exits_two(self, tmp_path):
+        # a bare number died in tuple() with a TypeError traceback (exit 1)
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="solve", family="STDMA", grid=5,
+            datum={"expr": "0.1*sin(2*pi*x)"}, out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["solve", "--config", cfg]) == 2
+
+    def test_string_csv_flag_exits_two(self, tmp_path):
+        # "no" is a non-empty string, so it used to switch the sidecars on
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="manufacture", family="STDMA", grid=[32, 32],
+            datum={"expr": "0.004*sin(2*pi*x)"}, csv="no",
+            out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["manufacture", "--config", cfg]) == 2
+        assert not list(tmp_path.glob("run/*.csv"))
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         out = tmp_path / "run"

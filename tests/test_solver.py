@@ -281,6 +281,73 @@ class TestFailurePaths:
         assert not rep.converged
 
 
+    @pytest.mark.parametrize("blocked, status", [(2, "Converged"), (3, "NewtonStalled")])
+    def test_shrinking_step_abandons_node(self, g64, star64, monkeypatch, blocked, status):
+        # monitor call 1 is the entry check and call 2 the full first step;
+        # pushing call `blocked` off the branch makes that Newton step settle
+        # for half its length.  A half first step followed by a full one is
+        # healthy; a full step followed by a half one, with the residual still
+        # above newton_tol, ends the node at once
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        cfg = sv.SolverConfig()
+        F = eq.manufactured_datum(spec, star64)
+        calls = {"n": 0}
+        real = sv.ellipticity_monitor
+
+        def blocking(spec_, u_):
+            calls["n"] += 1
+            return -1.0 if calls["n"] == blocked else real(spec_, u_)
+
+        monkeypatch.setattr(sv, "ellipticity_monitor", blocking)
+        rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)
+        assert rep.status == status
+        if status == "NewtonStalled":
+            assert len(rep.newton_history) == 3
+            assert rep.newton_history[-1] > cfg.newton_tol
+            assert calls["n"] == 4
+
+    def test_clipped_step_is_not_retried(self, monkeypatch):
+        # after the node at t = 1/2 the doubled step was clipped to t = 1; a
+        # failure there halved dt, which clipped to t = 1 again and repeated
+        # the same solve from the same start
+        g = TorusGrid((8, 8))
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        bump = project_mean_zero(from_function(g, lambda x, y: np.cos(2 * np.pi * x)))
+        targets = []
+        real_target = sv._target_log_rhs
+
+        def target(spec_, F_, t):
+            targets.append(t)
+            return real_target(spec_, F_, t)
+
+        calls = []
+
+        def newton(spec_, G, u0, cfg, b0=0.0):
+            t = targets[-1]
+            calls.append((t, u0.values.tobytes()))
+            if t == 1.0:
+                return sv.SolveReport(u=u0, b=b0, status=sv.Status.MAX_ITERATIONS,
+                                      newton_history=[1.0, 0.5],
+                                      monitors={"krylov_matvecs": 3, "krylov_capped": 0})
+            u = ScalarField(g, u0.values + 1e-3 * t * bump.values)
+            return sv.SolveReport(u=u, b=b0, status=sv.Status.CONVERGED,
+                                  newton_history=[1.0, 0.0],
+                                  monitors={"krylov_matvecs": 1, "krylov_capped": 0,
+                                            "ellipticity_min": 1.0})
+
+        monkeypatch.setattr(sv, "_target_log_rhs", target)
+        monkeypatch.setattr(sv, "newton_solve", newton)
+        rep = sv.continuity_solve(spec, zero_field(g), sv.SolverConfig())
+        assert rep.status is sv.Status.MAX_ITERATIONS
+        assert len(set(calls)) == len(calls)
+        failed = [t for t, _ in calls if t == 1.0]
+        assert calls[0][0] == 1.0 and len(failed) >= 2
+        assert rep.rejected == [sv.RejectedAttempt(t=1.0, status=sv.Status.MAX_ITERATIONS,
+                                                   newton_iterations=1, krylov_matvecs=3)
+                                ] * len(failed)
+        assert rep.monitors["krylov_matvecs"] == 3 * len(failed) + len(calls) - len(failed)
+
+
 class TestGradientBound:
     def test_flat_profile_constant_is_one(self, g64):
         # with no warp and no drift the comparison constant is the period mass
