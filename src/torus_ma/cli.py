@@ -19,11 +19,13 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
+import operator
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field as dc_field, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -46,6 +48,9 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def evaluate_expression(expr: str, grid: TorusGrid, names: tuple[str, ...]) -> ScalarField:
@@ -53,16 +58,17 @@ def evaluate_expression(expr: str, grid: TorusGrid, names: tuple[str, ...]) -> S
 
     Allowed: numbers, pi, the coordinate names, + - * / ** with numeric
     exponents, unary minus, and calls to sin, cos, exp.  Anything else is a
-    configuration error; no general evaluation happens.
+    configuration error; no general evaluation happens.  Numbers are NumPy
+    floats, so 1/0 or (-1)**0.5 give a non-finite value, not an exception.
     """
     if len(names) != grid.d:
         raise ConfigError(f"expected {grid.d} coordinate names, got {names}")
     env = {name: coord for name, coord in zip(names, grid.coords)}
-    env["pi"] = np.pi
+    env["pi"] = np.float64(np.pi)
 
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, MemoryError) as exc:  # NUL byte; too deeply nested
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
 
     def ev(node):
@@ -70,29 +76,19 @@ def evaluate_expression(expr: str, grid: TorusGrid, names: tuple[str, ...]) -> S
             return ev(node.body)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
-                return float(node.value)
+                return np.float64(node.value)
             raise ConfigError(f"literal {node.value!r} not allowed")
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
             raise ConfigError(f"unknown name {node.id!r}; allowed: {sorted(env)}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            return _UNARY_OPS[type(node.op)](ev(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
             a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a / b
-            if not isinstance(b, float):
+            if isinstance(node.op, ast.Pow) and not isinstance(b, float):
                 raise ConfigError("exponents must be numeric constants")
-            return a ** b
+            return _BINARY_OPS[type(node.op)](a, b)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fn = _ALLOWED_CALLS.get(node.func.id)
             if fn is None or node.keywords or len(node.args) != 1:
@@ -100,11 +96,11 @@ def evaluate_expression(expr: str, grid: TorusGrid, names: tuple[str, ...]) -> S
             return fn(ev(node.args[0]))
         raise ConfigError(f"expression node {type(node).__name__} not allowed")
 
-    with np.errstate(all="ignore"):
-        vals = ev(tree)
     try:
+        with np.errstate(all="ignore"):
+            vals = ev(tree)
         return ScalarField(grid, np.broadcast_to(vals, grid.sizes).astype(float))
-    except ValueError as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:  # huge literal; deep nesting
         raise ConfigError(f"expression {expr!r} does not evaluate to a finite "
                           f"field: {exc}") from exc
 
@@ -113,119 +109,133 @@ def evaluate_expression(expr: str, grid: TorusGrid, names: tuple[str, ...]) -> S
 # configuration
 # ---------------------------------------------------------------------------
 
+_MODES = ("manufacture", "solve", "verify", "selftest")
+_FIELD_MODES = _MODES[:3]
+
+
 @dataclass
 class RunConfig:
+    """A configuration file as read; `run` parses `raw` with `parse_config`."""
+
     mode: str
-    family: str | None
-    grid_sizes: tuple[int, ...]
-    params: dict
-    h_expr: str | None
-    datum: dict | None
-    solution: dict | None
-    solver: SolverConfig
-    verify_tol: float
     out: Path
-    seed: int
-    csv: bool
-    raw: dict = dc_field(default_factory=dict)
+    raw: dict
 
 
-_MODES = ("manufacture", "solve", "verify", "selftest")
-
-
-def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
-    path = Path(path)
+def load_config(path: str | Path, mode: str, out_override: str | None = None) -> RunConfig:
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    mode = raw.get("mode")
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    family = raw.get("family")
-    if mode != "selftest" and family is None:
-        raise ConfigError("family is required outside selftest mode")
-    grid_sizes = raw.get("grid", [32, 32])
-    if not isinstance(grid_sizes, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in grid_sizes):
-        raise ConfigError(f"grid must be a list of integers, got {grid_sizes!r}")
-    csv = raw.get("csv", False)
-    if not isinstance(csv, bool):
-        raise ConfigError(f"csv must be true or false, got {csv!r}")
-    params = dict(raw.get("params", {}))
-    solver_kwargs = dict(raw.get("solver", {}))
-    try:
-        solver = SolverConfig(**solver_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
-    out = Path(out_override) if out_override else Path(raw.get("out", "run_out"))
-    datum = raw.get("datum")
-    if mode in ("manufacture", "solve", "verify") and not isinstance(datum, dict):
-        raise ConfigError("datum must be an object with 'expr' or 'dump'")
-    solution = raw.get("solution")
-    if mode == "verify" and not isinstance(solution, dict):
-        raise ConfigError("verify mode needs a 'solution' dump entry")
-    for entry in (datum, solution):
-        if isinstance(entry, dict) and "dump" in entry:
-            if not Path(entry["dump"]).exists():
-                raise ConfigError(f"referenced dump {entry['dump']} does not exist")
-    return RunConfig(
-        mode=mode,
-        family=family,
-        grid_sizes=tuple(grid_sizes),
-        params=params,
-        h_expr=raw.get("h"),
-        datum=datum,
-        solution=solution,
-        solver=solver,
-        verify_tol=float(raw.get("verify_tol", 1e-8)),
-        out=out,
-        seed=int(raw.get("seed", 0)),
-        csv=csv,
-        raw=raw,
-    )
+    out = out_override or raw.get("out", "run_out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path, got {out!r}")
+    return RunConfig(mode, Path(out), raw)
 
 
-def build_spec(cfg: RunConfig, grid: TorusGrid) -> eq.EquationSpec:
+def _kind(v, kind, want: str, ok=lambda v: True):
+    """v itself if it is a `kind` that passes `ok`; a boolean is never a number."""
+    if isinstance(v, bool) != (kind is bool) or not isinstance(v, kind) or not ok(v):
+        raise ValueError(f"must be {want}, got {v!r}")
+    return v
+
+
+def _real(v, want: str = "a finite number", ok=lambda x: -math.inf < x < math.inf) -> float:
+    return float(_kind(v, (int, float), want, ok))
+
+
+def _optional(parse, required_in=()):
+    """`parse` for a key without a default: None when left out."""
+    def parse_given(v, c):
+        if v is None and c["mode"] in required_in:
+            raise ValueError(f"is required in {c['mode']} mode")
+        return None if v is None else parse(v, c)
+    return parse_given
+
+
+def _mode(v, c) -> str:
+    if v not in (None, c["mode"]):
+        raise ValueError(f"is {v!r}, but the command line runs {c['mode']!r}")
+    return c["mode"]
+
+
+def _params(v, c) -> dict:
+    reads = [k for k in eq.FAMILY_PARAMETERS.get(c["family"], ()) if k != "h"]  # h is a key
+    if not set(_kind(v, dict, "an object")) <= set(reads):
+        raise ValueError(f"the family reads only {reads}, got {sorted(v)}")
+    return {k: _kind(x, int, "an integer") if k == "n" else _real(x) for k, x in v.items()}
+
+
+def _h(v, c) -> ScalarField:
+    if "h" not in eq.FAMILY_PARAMETERS.get(c["family"], ()):
+        raise ValueError("the family does not read h")
+    names = eq.family_axis_names(c["family"], c["params"].get("n", 2))
+    return evaluate_expression(_kind(v, str, "an expression"), c["grid"], names)
+
+
+def _entry(v, c) -> dict:
+    return _kind(v, dict, "{'expr': text} or {'dump': path}",
+                 lambda v: len(v) == 1 and isinstance(v.get("expr", v.get("dump")), str))
+
+
+# Every configuration key with its default and its parser, parse(value,
+# parsed), where `parsed` holds the keys above it.  A default is parsed like
+# a given value; None stands for a key left out.
+_KEYS = {
+    "mode": (None, _mode),
+    "out": ("run_out", lambda v, c: _kind(v, str, "a path")),
+    "family": (None, _optional(lambda v, c: eq.Family(v), _FIELD_MODES)),
+    "grid": ([32, 32], lambda v, c: TorusGrid(
+        tuple(_kind(n, int, "an integer") for n in _kind(v, list, "a list")))),
+    "params": ({}, _params),
+    "h": (None, _optional(_h)),
+    "datum": (None, _optional(_entry, _FIELD_MODES)),
+    "solution": (None, _optional(_entry, ("verify",))),
+    "solver": ({}, lambda v, c: SolverConfig(**_kind(v, dict, "an object"))),
+    "verify_tol": (1e-8, lambda v, c: _real(v, "positive", lambda x: 0 < x < math.inf)),
+    "seed": (0, lambda v, c: _kind(v, int, "a non-negative integer", lambda x: x >= 0)),
+    "csv": (False, lambda v, c: _kind(v, bool, "true or false")),
+}
+
+
+def parse_config(cfg: RunConfig) -> dict:
+    """The run's settings by key, each parsed once by its entry in `_KEYS`."""
+    unknown = sorted(set(cfg.raw) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}; the keys are {list(_KEYS)}")
+    c = {"mode": cfg.mode}
+    for key, (default, parse) in _KEYS.items():
+        try:
+            c[key] = parse(cfg.raw.get(key, default), c)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return c
+
+
+def build_spec(c: dict) -> eq.EquationSpec:
     try:
-        family = eq.Family(cfg.family)
+        spec = eq.EquationSpec(c["family"], h=c["h"], **c["params"])
     except ValueError as exc:
-        raise ConfigError(f"unknown family {cfg.family!r}") from exc
-    params = cfg.params
-    try:
-        n = int(params.get("n", 2))
-        h = None
-        if cfg.h_expr is not None:
-            h = evaluate_expression(cfg.h_expr, grid, eq.family_axis_names(family, n))
-        return eq.EquationSpec(
-            family,
-            l1=float(params.get("l1", 1.0)),
-            l2=float(params.get("l2", 1.0)),
-            m1=float(params.get("m1", 0.0)),
-            m2=float(params.get("m2", 0.0)),
-            c=float(params.get("c", 0.0)),
-            h=h,
-            n=n,
-        )
-    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if spec.dim != c["grid"].d:
+        raise ConfigError(f"{spec.family.value} lives on a {spec.dim}-torus, "
+                          f"the grid has {c['grid'].d} axes")
+    return spec
 
 
 def _load_field(entry: dict, grid: TorusGrid, names: tuple[str, ...]) -> ScalarField:
     if "expr" in entry:
         return evaluate_expression(entry["expr"], grid, names)
-    if "dump" in entry:
-        try:
-            f = dumpio.read_field(entry["dump"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if f.grid.sizes != grid.sizes:
-            raise ConfigError(f"dump {entry['dump']} has sizes {f.grid.sizes}, "
-                              f"config wants {grid.sizes}")
-        return f
-    raise ConfigError("field entry needs 'expr' or 'dump'")
+    try:
+        f = dumpio.read_field(entry["dump"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if f.grid.sizes != grid.sizes:
+        raise ConfigError(f"dump {entry['dump']} has sizes {f.grid.sizes}, "
+                          f"config wants {grid.sizes}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +266,7 @@ def write_report(path: str | Path, tree: dict) -> None:
                 lines.append("  " * depth + f"{key}: {_fmt(val)}")
 
     emit(tree, 0)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", errors="backslashreplace")
 
 
 def read_report(path: str | Path) -> dict:
@@ -285,6 +295,7 @@ def read_report(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 _OUTPUTS = ("report.txt", "*.tma", "*.csv")
+_EXIT_CODES = {"none": 0, "config": 2, "solver": 3, "verify": 4, "selftest": 4}
 
 
 def _prepare_out(cfg: RunConfig, force: bool) -> Path:
@@ -302,7 +313,7 @@ def _prepare_out(cfg: RunConfig, force: bool) -> Path:
         for p in entries:
             p.unlink()
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     return out
 
@@ -317,37 +328,35 @@ def _monitors_tree(report) -> dict:
 def run(cfg: RunConfig, force: bool = False) -> int:
     """Execute one configuration; returns the process exit status."""
     t_start = time.time()
-    out = _prepare_out(cfg, force)
-    tree: dict = {"config": {
-        "mode": cfg.mode,
-        "family": cfg.family or "-",
-        "grid": "x".join(str(s) for s in cfg.grid_sizes),
-        "seed": cfg.seed,
-        "source": {k: v for k, v in cfg.raw.items() if k != "mode"},
-    }}
+    try:
+        out = _prepare_out(cfg, force)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    tree: dict = {"config": {"mode": cfg.mode}}
     artifacts: dict = {}
-    status = 0
 
     try:
-        if cfg.mode == "selftest":
-            tree["selftest"], ok = _selftest(cfg.seed)
-            tree["status"] = "Pass" if ok else "Fail"
-            tree["error_code"] = "none" if ok else "selftest"
-            status = 0 if ok else 4
-        else:
-            try:
-                grid = TorusGrid(cfg.grid_sizes)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad grid sizes {cfg.grid_sizes}: {exc}") from exc
-            spec = build_spec(cfg, grid)
-            names = spec.axis_names
+        c = parse_config(cfg)
+        tree["config"].update(family=c["family"].value if c["family"] else "-",
+                              grid="x".join(map(str, c["grid"].sizes)), seed=c["seed"])
+        if cfg.mode != "selftest":
+            spec = build_spec(c)
+            datum = _load_field(c["datum"], c["grid"], spec.axis_names)
+        if cfg.mode == "verify":
+            solution = _load_field(c["solution"], c["grid"], spec.axis_names)
+        try:
+            if cfg.mode == "selftest":
+                tree["selftest"], ok = _selftest(c["seed"])
+                tree["status"] = "Pass" if ok else "Fail"
+                tree["error_code"] = "none" if ok else "selftest"
 
-            if cfg.mode == "manufacture":
-                u_star = project_mean_zero(_load_field(cfg.datum, grid, names))
+            elif cfg.mode == "manufacture":
+                u_star = project_mean_zero(datum)
                 F = eq.manufactured_datum(spec, u_star)
                 dumpio.write_field(out / "u_star.tma", u_star)
                 dumpio.write_field(out / "datum.tma", F)
-                if cfg.csv:
+                if c["csv"]:
                     dumpio.write_csv(out / "u_star.csv", u_star)
                     dumpio.write_csv(out / "datum.csv", F)
                 artifacts = {"u_star": "u_star.tma", "datum": "datum.tma"}
@@ -359,10 +368,9 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                 tree["error_code"] = "none"
 
             elif cfg.mode == "solve":
-                F_raw = _load_field(cfg.datum, grid, names)
-                F = eq.normalize_datum(spec, F_raw)
-                shift = float(F_raw.values.ravel()[0] - F.values.ravel()[0])
-                report = continuity_solve(spec, F, cfg.solver)
+                F = eq.normalize_datum(spec, datum)
+                shift = float(datum.values.ravel()[0] - F.values.ravel()[0])
+                report = continuity_solve(spec, F, c["solver"])
                 t_solve = time.time()
                 tree["normalization_shift"] = shift
                 tree["trace"] = [asdict(node) for node in report.trace]
@@ -372,44 +380,34 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                 tree["status"] = report.status.value
                 dumpio.write_field(out / "u.tma", report.u)
                 dumpio.write_field(out / "datum.tma", F)
-                if cfg.csv:
+                if c["csv"]:
                     dumpio.write_csv(out / "u.csv", report.u)
                 artifacts = {"u": "u.tma", "datum": "datum.tma"}
                 if not report.converged:
                     tree["error_code"] = "solver"
-                    status = 3
                 else:
-                    ver = verify_solution(report.u, F, spec, tol=cfg.verify_tol)
+                    ver = verify_solution(report.u, F, spec, tol=c["verify_tol"])
                     tree["verification"] = asdict(ver)
                     tree["error_code"] = "none" if ver.passed else "verify"
-                    status = 0 if ver.passed else 4
                 tree.setdefault("timing", {})["solve_seconds"] = t_solve - t_start
 
             elif cfg.mode == "verify":
-                u = _load_field(cfg.solution, grid, names)
-                F = _load_field(cfg.datum, grid, names)
-                ver = verify_solution(u, F, spec, tol=cfg.verify_tol)
+                ver = verify_solution(solution, datum, spec, tol=c["verify_tol"])
                 tree["verification"] = asdict(ver)
                 tree["status"] = "Verified" if ver.passed else "VerifyFailed"
                 tree["error_code"] = "none" if ver.passed else "verify"
-                status = 0 if ver.passed else 4
+        except ValueError as exc:
+            tree.update(status="SolverError", error_code="solver", message=str(exc))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        tree["status"] = "ConfigError"
-        tree["error_code"] = "config"
-        tree["message"] = str(exc)
-        status = 2
-    except ValueError as exc:
-        tree["status"] = "SolverError"
-        tree["error_code"] = "solver"
-        tree["message"] = str(exc)
-        status = 3
+        tree.update(status="ConfigError", error_code="config", message=str(exc))
 
+    tree["config"]["source"] = {k: v for k, v in cfg.raw.items() if k != "mode"}
     if artifacts:
         tree["artifacts"] = artifacts
     tree.setdefault("timing", {})["total_seconds"] = time.time() - t_start
     write_report(out / "report.txt", tree)
-    return status
+    return _EXIT_CODES[tree["error_code"]]
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         description="solve, manufacture and verify reduced volume equations "
                     "on periodic torus bundles",
     )
-    parser.add_argument("mode", choices=_MODES,
-                        help="pipeline stage to run (overrides the config's mode)")
+    parser.add_argument("mode", choices=_MODES, help="pipeline stage to run")
     parser.add_argument("--config", action="append", required=True,
                         help="path to a JSON run configuration (repeatable)")
     parser.add_argument("--out", default=None,
@@ -495,18 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         print("--out cannot be combined with multiple configs", file=sys.stderr)
         return 2
 
-    try:
-        configs = []
-        for path in args.config:
-            cfg = load_config(path, out_override=args.out)
-            cfg.mode = args.mode
-            if cfg.mode in ("manufacture", "solve", "verify") and cfg.family is None:
-                raise ConfigError("family is required outside selftest mode")
-            configs.append(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
     jobs = max(1, args.jobs)
     env_cap = os.environ.get("TORUS_MA_THREADS")
     if env_cap:
@@ -516,16 +501,18 @@ def main(argv: list[str] | None = None) -> int:
             print("TORUS_MA_THREADS must be an integer", file=sys.stderr)
             return 2
 
-    try:
-        if len(configs) == 1 or jobs == 1:
-            codes = [run(cfg, force=args.force) for cfg in configs]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run, cfg, args.force) for cfg in configs]
-                codes = [f.result() for f in futures]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    codes, configs = [], []
+    for path in args.config:
+        try:
+            configs.append(load_config(path, args.mode, args.out))
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            codes.append(2)
+    if len(configs) <= 1 or jobs == 1:
+        codes += [run(cfg, args.force) for cfg in configs]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            codes += pool.map(run, configs, [args.force] * len(configs))
     return max(codes)
 
 

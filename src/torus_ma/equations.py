@@ -157,6 +157,17 @@ def family_axis_names(family: Family | str, n: int = 2) -> tuple[str, ...]:
     return tuple(f"z{k + 1}" for k in range(n))
 
 
+# The parameters each family reads: `EquationSpec` fields, with h its
+# exponent field.  STDMA and GENMA fix l1, l2, m1 and m2 themselves, and the
+# LAGR_X1X2 coframe has no first-order terms to match m1 and m2.
+FAMILY_PARAMETERS: dict[Family, tuple[str, ...]] = {
+    Family.STDMA: (), Family.GENMA: (), Family.DETA_T3: (),
+    Family.LAGR_X1X2: ("l1", "l2"), Family.LAGR_X2Y1: ("l1", "l2", "m1", "m2"),
+    Family.WARPED: ("c", "h"), Family.WARPED_T3: ("h",),
+    Family.NDIM_FULL: ("n",), Family.NDIM_HESSIAN: ("n",), Family.NDIM_B: ("n",),
+}
+
+
 def _check_grid(spec: EquationSpec, u: ScalarField) -> None:
     if u.grid.d != spec.dim:
         raise ValueError(f"{spec.family.value} lives on a {spec.dim}-torus, "

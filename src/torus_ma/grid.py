@@ -8,6 +8,7 @@ row-major axis order; instances are treated as immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,7 +31,7 @@ class TorusGrid:
         for n in self.sizes:
             if n < 8 or n % 2:
                 raise ValueError(f"axis sizes must be even and >= 8, got {n}")
-        npts = int(np.prod(self.sizes))
+        npts = math.prod(self.sizes)
         if npts > self.max_points:
             raise ValueError(f"grid has {npts} points, budget is {self.max_points}")
 
@@ -40,7 +41,7 @@ class TorusGrid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def axis_points(self, axis: int) -> np.ndarray:
         n = self.sizes[axis]

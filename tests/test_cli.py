@@ -1,7 +1,10 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_ma import cli, dumpio
+from torus_ma import equations as eq
 from torus_ma.grid import ScalarField, TorusGrid, from_function
+from torus_ma.solver import SolverConfig
 
 from conftest import rel_err
 
@@ -54,6 +59,17 @@ class TestExpressionGrammar:
         g = TorusGrid((16, 16))
         with pytest.raises(cli.ConfigError):
             cli.evaluate_expression("1/(x - x)", g, ("x", "y"))
+
+    @pytest.mark.parametrize("bad", [
+        "1/0", "pi/(pi - pi)", "(-1)**0.5", "10.0**400", "1" + "0" * 400, "-" * 2000 + "1",
+    ])
+    def test_scalar_arithmetic_faults_are_config_errors(self, bad):
+        # constant arithmetic ran on Python floats: these escaped as
+        # ZeroDivisionError, OverflowError or RecursionError, and (-1)**0.5
+        # became a complex number whose imaginary part was dropped
+        g = TorusGrid((8, 8))
+        with pytest.raises(cli.ConfigError):
+            cli.evaluate_expression(bad, g, ("x", "y"))
 
 
 class TestDumpFormat:
@@ -480,3 +496,209 @@ class TestRunPipeline:
                 tmp_path / f"c{i}.json", mode="selftest",
                 out=str(tmp_path / f"r{i}"), seed=i)])
         assert cli.main(["selftest", *cfgs, "--jobs", "8"]) == 0
+
+
+# an 8x8 STDMA solve; each test overrides or adds keys
+STDMA_8 = {"family": "STDMA", "grid": [8, 8], "seed": 0,
+           "datum": {"expr": "0.01*sin(2*pi*x)*cos(2*pi*y)"}}
+
+
+def run_config(tmp_path, mode, body, name="run"):
+    """cli.main on one configuration; returns (exit code, report path)."""
+    out = tmp_path / name
+    cfg = write_config(tmp_path / f"{name}.json", **{"out": str(out), **body})
+    return cli.main([mode, "--config", cfg]), out / "report.txt"
+
+
+def assert_config_error(code, report):
+    assert code == 2
+    tree = cli.read_report(report)
+    assert (tree["status"], tree["error_code"]) == ("ConfigError", "config")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("mode, keys", [
+        ("solve", {"params": "abc"}),
+        ("solve", {"params": [1, 2]}),
+        ("solve", {"verify_tol": "x"}),
+        ("solve", {"seed": "x"}),
+        ("solve", {"datum": {"dump": 5}}),
+        ("solve", {"datum": {"expr": 5}}),
+        ("solve", {"solver": [1, 2]}),
+        ("solve", {"verify_tol": float("nan")}),
+        ("solve", {"verify_tol": -1.0}),
+        ("selftest", {"seed": -1}),
+        ("solve", {"seed": 1.5}),
+        ("solve", {"params": {"n": True}}),
+        ("solve", {"params": {"l1": "1"}}),
+        ("solve", {"params": {"bogus": 1}}),
+        ("solve", {"verfy_tol": 1e-8}),
+    ], ids=["params-text", "params-list", "verify_tol-text", "seed-text", "dump-number",
+            "expr-number", "solver-list", "verify_tol-nan", "verify_tol-negative",
+            "seed-negative", "seed-fraction", "n-bool", "l1-text", "params-unknown",
+            "misspelt-key"])
+    def test_malformed_key_exits_two_with_report(self, tmp_path, mode, keys):
+        # each of these used to end in a traceback, in exit 3 or 4, or ran
+        # with the value changed or dropped
+        assert_config_error(*run_config(tmp_path, mode, {"mode": mode, **STDMA_8, **keys}))
+
+    def test_non_string_out_exits_two(self, tmp_path, capsys, monkeypatch):
+        # "out": 5 died in Path() with a TypeError traceback
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", mode="solve", **STDMA_8, out=5)
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_mode_key_is_optional(self, tmp_path):
+        # the command line names the mode, yet a config without one exited 2
+        code, report = run_config(tmp_path, "selftest", {"seed": 0})
+        assert code == 0
+        assert cli.read_report(report)["status"] == "Pass"
+
+    def test_mode_key_must_match_command_line(self, tmp_path):
+        # the command line silently overrode a different mode in the config
+        assert_config_error(*run_config(tmp_path, "selftest", {"mode": "solve", "seed": 0}))
+
+    @pytest.mark.parametrize("family, grid, datum, keys", [
+        ("STDMA", [8, 8], "0.01*sin(2*pi*x)", {"params": {"l1": 2.0}}),
+        ("STDMA", [8, 8], "0.01*sin(2*pi*x)", {"params": {"c": 1.0}}),
+        ("STDMA", [8, 8], "0.01*sin(2*pi*x)", {"h": "0.3*sin(2*pi*x)"}),
+        ("DETA_T3", [8, 8, 8], "0.01*sin(2*pi*x1)", {"params": {"n": 3}}),
+        ("LAGR_X1X2", [8, 8], "0.01*sin(2*pi*x)", {"params": {"m1": 0.3}}),
+        ("WARPED", [8, 8], "0.01*sin(2*pi*x)", {"h": "0.3*sin(2*pi*x)", "params": {"h": 0.3}}),
+    ], ids=["STDMA-l1", "STDMA-c", "STDMA-h", "DETA_T3-n", "LAGR_X1X2-m1", "WARPED-params-h"])
+    def test_unread_family_parameter_exits_two(self, tmp_path, family, grid, datum, keys):
+        # these ran with the value silently dropped; LAGR_X1X2 solved with
+        # m1 and then failed verification, as its coframe has no
+        # first-order terms
+        body = {"mode": "solve", "family": family, "grid": grid, "datum": {"expr": datum}, **keys}
+        assert_config_error(*run_config(tmp_path, "solve", body))
+
+    @pytest.mark.parametrize("family, params", [
+        ("LAGR_X1X2", {"l1": "1"}), ("NDIM_HESSIAN", {"n": 2.0}),
+    ])
+    def test_family_parameter_types_are_checked(self, tmp_path, family, params):
+        # float("1") and int(2.0) used to accept both
+        body = {"mode": "solve", "family": family, "grid": [8, 8], "params": params,
+                "datum": {"expr": "0.01*sin(2*pi*x1)" if family == "NDIM_HESSIAN"
+                          else "0.01*sin(2*pi*x)"}}
+        assert_config_error(*run_config(tmp_path, "solve", body))
+
+    def test_grid_must_match_the_family_dimension(self, tmp_path):
+        # a 3-d dump on a 3-d grid passed every check for the 2-d STDMA and
+        # exited 3 as a solver failure
+        g = TorusGrid((8, 8, 8))
+        dumpio.write_field(tmp_path / "d.tma", ScalarField(g, np.zeros(g.sizes)))
+        body = {"mode": "manufacture", **STDMA_8, "grid": [8, 8, 8],
+                "datum": {"dump": str(tmp_path / "d.tma")}}
+        assert_config_error(*run_config(tmp_path, "manufacture", body))
+
+    def test_deeply_nested_config_exits_two(self, tmp_path):
+        # json.loads raised RecursionError, a traceback
+        p = tmp_path / "cfg.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        assert cli.main(["selftest", "--config", str(p)]) == 2
+
+    def test_unencodable_text_is_escaped_in_the_report(self, tmp_path):
+        # a lone surrogate in the config died in a UnicodeEncodeError while
+        # the report was written
+        body = {"mode": "solve", **STDMA_8, "family": "\ud800"}
+        assert_config_error(*run_config(tmp_path, "solve", body))
+
+    def test_nul_in_out_exits_two(self, tmp_path, monkeypatch):
+        # an embedded NUL escaped from mkdir as a ValueError traceback
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", mode="selftest", out="a\x00b", seed=0)
+        assert cli.main(["selftest", "--config", cfg]) == 2
+
+
+class TestSeveralConfigs:
+    def test_each_config_gets_its_own_report(self, tmp_path):
+        # "seed": -1 exited 3 as a solver failure
+        bad = write_config(tmp_path / "bad.json", mode="selftest", seed=-1,
+                           out=str(tmp_path / "bad"))
+        good = write_config(tmp_path / "good.json", mode="selftest", seed=0,
+                            out=str(tmp_path / "good"))
+        assert cli.main(["selftest", "--config", bad, "--config", good]) == 2
+        assert cli.read_report(tmp_path / "good" / "report.txt")["status"] == "Pass"
+        assert cli.read_report(tmp_path / "bad" / "report.txt")["status"] == "ConfigError"
+
+    def test_unreadable_config_does_not_stop_the_others(self, tmp_path):
+        # one config that was not JSON used to stop every run
+        (tmp_path / "bad.json").write_text("{not json")
+        good = write_config(tmp_path / "good.json", mode="selftest", seed=0,
+                            out=str(tmp_path / "good"))
+        assert cli.main(["selftest", "--config", str(tmp_path / "bad.json"),
+                         "--config", good]) == 2
+        assert cli.read_report(tmp_path / "good" / "report.txt")["status"] == "Pass"
+
+
+# Arbitrary JSON; integers stay within 16 where they could size a grid or a
+# solver budget.
+def _json(ints):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6)
+
+
+_ANY, _SMALL = _json(st.integers()), _json(st.integers(-16, 16))
+_PLAUSIBLE_PARAMS = {"l1": 1.0, "l2": 1.0, "m1": 0.3, "m2": -0.2, "c": 1.0, "n": 2}
+
+
+@st.composite
+def _configs(draw):
+    """A configuration that mostly runs, with up to three keys replaced by
+    arbitrary JSON or left out, or a misspelt key added."""
+    family = draw(st.sampled_from(list(eq.Family)))
+    names = eq.family_axis_names(family)
+    reads = eq.FAMILY_PARAMETERS[family]
+    amplitude = draw(st.sampled_from(["0.01", "0.5", "-0.02"]))
+    expr = {"expr": f"{amplitude}*sin(2*pi*{names[0]})*cos(2*pi*{names[-1]})"}
+    body = {
+        "family": family.value, "grid": [8] * len(names), "seed": 0,
+        "params": {k: _PLAUSIBLE_PARAMS[k] for k in reads if k != "h"},
+        "datum": draw(st.sampled_from([expr, {"dump": "@dump"}])),
+        "solution": draw(st.sampled_from([expr, {"dump": "@dump"}])),
+        "solver": {"max_steps": 4, "lin_maxiter": 100}, "verify_tol": 1e-8, "csv": False,
+    }
+    if "h" in reads:
+        body["h"] = f"0.3*sin(2*pi*{names[0]})"
+    for key in draw(st.lists(st.sampled_from([*cli._KEYS, "verfy_tol"]), max_size=3)):
+        choice = draw(st.sampled_from(["drop", "json"]))
+        if choice == "drop":
+            body.pop(key, None)
+        else:
+            body[key] = draw(_SMALL if key in ("grid", "solver") else _ANY)
+    return body
+
+
+def _dump(d, sizes, body):
+    return b"TMA1" + struct.pack(f"<I{len(sizes)}Q", d, *sizes) + body
+
+
+_DUMPS = (st.binary(max_size=64)
+          | st.builds(_dump, st.integers(0, 6),
+                      st.lists(st.sampled_from([0, 8, 16, 2**40]), max_size=4),
+                      st.binary(max_size=600))
+          | st.lists(st.floats(-0.01, 0.01) | st.floats(), min_size=64, max_size=64).map(
+              lambda v: _dump(2, [8, 8], np.array(v, dtype="<f8").tobytes())))
+
+
+class TestConfigFuzz:
+    # extreme dumped values overflow inside verification, which warns; the
+    # examples are derandomized so that the suite's run time stays fixed
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(cli._MODES), body=_configs(), dump=_DUMPS)
+    def test_any_config_ends_in_a_documented_exit_code(self, mode, body, dump):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "d.tma").write_bytes(dump)
+            text = json.dumps(body).replace('"@dump"', json.dumps(str(tmp / "d.tma")))
+            (tmp / "cfg.json").write_text(text, encoding="utf-8")
+            code = cli.main([mode, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "run")])
+            assert code in (0, 2, 3, 4)
+            assert (tmp / "run" / "report.txt").exists()

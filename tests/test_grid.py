@@ -40,6 +40,13 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             TorusGrid((64, 64), max_points=1000)
 
+    def test_point_count_does_not_wrap(self):
+        # np.prod wrapped in int64: (2**32, 2**32) had npoints == 0 and
+        # passed the budget
+        with pytest.raises(ValueError, match="budget"):
+            TorusGrid((2**32, 2**32))
+        assert TorusGrid((2**32, 2**32), max_points=2**64).npoints == 2**64
+
     def test_field_rejects_nonfinite(self):
         g = TorusGrid((8, 8))
         vals = np.zeros(g.sizes)
