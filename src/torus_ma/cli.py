@@ -250,12 +250,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _text(text: str, key: bool = False) -> str:
+    """text as a report writes it: verbatim where `read_report` gives it back
+    unchanged, else as a JSON string (a line break, surrounding blanks, an
+    empty text, a leading double quote, or a colon in a key)."""
+    if (text and text == text.strip() and text.splitlines() == [text]
+            and not text.startswith('"') and not (key and ":" in text)):
+        return text
+    return json.dumps(text)
+
+
 def write_report(path: str | Path, tree: dict) -> None:
     """Write a nested mapping as an indented key/value tree (UTF-8)."""
     lines: list[str] = []
 
     def emit(node, depth):
         for key, val in node.items():
+            key = _text(str(key), key=True)
             if isinstance(val, dict):
                 lines.append("  " * depth + f"{key}:")
                 emit(val, depth + 1)
@@ -263,7 +274,7 @@ def write_report(path: str | Path, tree: dict) -> None:
                 lines.append("  " * depth + f"{key}:")
                 emit({str(i): v for i, v in enumerate(val)}, depth + 1)
             else:
-                lines.append("  " * depth + f"{key}: {_fmt(val)}")
+                lines.append("  " * depth + f"{key}: {_text(_fmt(val))}")
 
     emit(tree, 0)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", errors="backslashreplace")
@@ -277,16 +288,22 @@ def read_report(path: str | Path) -> dict:
         if not line.strip():
             continue
         depth = (len(line) - len(line.lstrip(" "))) // 2
-        key, _, rest = line.strip().partition(":")
+        text = line.strip()
+        if text.startswith('"'):
+            key, end = json.JSONDecoder().raw_decode(text)
+            rest = text[end + 1:]  # past the colon
+        else:
+            key, _, rest = text.partition(":")
+        rest = rest.strip()
         while stack and stack[-1][0] >= depth:
             stack.pop()
         parent = stack[-1][1]
-        if rest.strip() == "":
+        if rest == "":
             child: dict = {}
             parent[key] = child
             stack.append((depth, child))
         else:
-            parent[key] = rest.strip()
+            parent[key] = json.loads(rest) if rest.startswith('"') else rest
     return root
 
 
@@ -340,18 +357,25 @@ def run(cfg: RunConfig, force: bool = False) -> int:
         c = parse_config(cfg)
         tree["config"].update(family=c["family"].value if c["family"] else "-",
                               grid="x".join(map(str, c["grid"].sizes)), seed=c["seed"])
-        if cfg.mode != "selftest":
+        if cfg.mode == "selftest":
+            tree["selftest"], ok = _selftest(c["seed"])
+            tree["status"] = "Pass" if ok else "Fail"
+            tree["error_code"] = "none" if ok else "selftest"
+        else:
             spec = build_spec(c)
             datum = _load_field(c["datum"], c["grid"], spec.axis_names)
         if cfg.mode == "verify":
             solution = _load_field(c["solution"], c["grid"], spec.axis_names)
+            try:
+                ver = verify_solution(solution, datum, spec, tol=c["verify_tol"])
+            except ValueError as exc:  # the forms of an extreme candidate overflow
+                tree.update(status="VerifyFailed", error_code="verify", message=str(exc))
+            else:
+                tree["verification"] = asdict(ver)
+                tree["status"] = "Verified" if ver.passed else "VerifyFailed"
+                tree["error_code"] = "none" if ver.passed else "verify"
         try:
-            if cfg.mode == "selftest":
-                tree["selftest"], ok = _selftest(c["seed"])
-                tree["status"] = "Pass" if ok else "Fail"
-                tree["error_code"] = "none" if ok else "selftest"
-
-            elif cfg.mode == "manufacture":
+            if cfg.mode == "manufacture":
                 u_star = project_mean_zero(datum)
                 F = eq.manufactured_datum(spec, u_star)
                 dumpio.write_field(out / "u_star.tma", u_star)
@@ -390,12 +414,6 @@ def run(cfg: RunConfig, force: bool = False) -> int:
                     tree["verification"] = asdict(ver)
                     tree["error_code"] = "none" if ver.passed else "verify"
                 tree.setdefault("timing", {})["solve_seconds"] = t_solve - t_start
-
-            elif cfg.mode == "verify":
-                ver = verify_solution(solution, datum, spec, tol=c["verify_tol"])
-                tree["verification"] = asdict(ver)
-                tree["status"] = "Verified" if ver.passed else "VerifyFailed"
-                tree["error_code"] = "none" if ver.passed else "verify"
         except ValueError as exc:
             tree.update(status="SolverError", error_code="solver", message=str(exc))
     except ConfigError as exc:

@@ -15,9 +15,9 @@ two routes agree to grid roundoff rather than to an aliasing tolerance.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class Family(str, Enum):
     NDIM_B = "NDIM_B"
 
 
-_T2_FAMILIES = (Family.STDMA, Family.GENMA, Family.LAGR_X1X2, Family.LAGR_X2Y1, Family.WARPED)
-
-
 @dataclass
 class CoframeParams:
     """Invariant Hermitian-coframe data for the Lagrangian-fibration families.
@@ -68,7 +65,12 @@ class CoframeParams:
 
 @dataclass
 class EquationSpec:
-    """One member of the reduced-equation catalog with its parameters."""
+    """One member of the reduced-equation catalog with its parameters.
+
+    A parameter the family does not read takes its pinned value, the field
+    default or the value the family fixes (GENMA's m2 = 1), so no unread
+    value can reach the residual, the coframe or the branch sign.
+    """
 
     family: Family
     l1: float = 1.0
@@ -82,35 +84,28 @@ class EquationSpec:
 
     def __post_init__(self):
         self.family = Family(self.family)
-        if self.family is Family.STDMA:
-            self.l1, self.l2, self.m1, self.m2 = 1.0, 1.0, 0.0, 0.0
-        elif self.family is Family.GENMA:
-            self.l1, self.l2, self.m1, self.m2 = 1.0, 1.0, 0.0, 1.0
-        if self.family in (Family.LAGR_X1X2, Family.LAGR_X2Y1):
-            if self.l1 * self.l2 <= 0:
-                raise ValueError("l1 and l2 must be both positive or both negative")
-        if self.family in (Family.WARPED, Family.WARPED_T3):
-            if self.h is None:
-                raise ValueError(f"{self.family.value} requires the exponent field h")
+        row = _STATEMENTS[self.family]
+        for f in fields(self):
+            # every field but the family and its coframe data is a parameter
+            if f.name not in ("family", "coframe", *row.params):
+                setattr(self, f.name, row.fixed.get(f.name, f.default))
+        if self.l1 * self.l2 <= 0:
+            raise ValueError("l1 and l2 must be both positive or both negative")
+        if "h" in row.params and self.h is None:
+            raise ValueError(f"{self.family.value} requires the exponent field h")
+        if self.h is not None:
             # h is a profile in x (resp. in (x1, y1)); dependence on the
             # second axis would silently change the family
             along = np.take(self.h.values, [0], axis=1)
             drift = float(np.max(np.abs(self.h.values - along)))
             if drift > 1e-12 * max(1.0, self.h.max_norm()):
                 raise ValueError("h must be constant along the second coordinate")
-        if self.family in (Family.NDIM_FULL, Family.NDIM_HESSIAN, Family.NDIM_B):
-            if not 2 <= self.n <= 4:
-                raise ValueError("higher-dimensional families support n = 2..4")
+        if not 2 <= self.n <= 4:
+            raise ValueError("higher-dimensional families support n = 2..4")
 
     @property
     def dim(self) -> int:
-        if self.family in _T2_FAMILIES:
-            return 2
-        if self.family in (Family.DETA_T3, Family.WARPED_T3):
-            return 3
-        if self.family is Family.NDIM_FULL:
-            return self.n + 1
-        return self.n
+        return len(self.axis_names)
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -141,31 +136,6 @@ class EquationSpec:
             m2=-params.lam * params.shear / c0**2,
             coframe=params,
         )
-
-
-def family_axis_names(family: Family | str, n: int = 2) -> tuple[str, ...]:
-    """Base-coordinate names of a family's torus, in grid-axis order."""
-    family = Family(family)
-    if family in _T2_FAMILIES:
-        return ("x", "y")
-    if family in (Family.DETA_T3, Family.WARPED_T3):
-        return ("x1", "x2", "y1")
-    if family is Family.NDIM_FULL:
-        return tuple(f"x{k + 1}" for k in range(n)) + ("y1",)
-    if family is Family.NDIM_HESSIAN:
-        return tuple(f"x{k + 1}" for k in range(n))
-    return tuple(f"z{k + 1}" for k in range(n))
-
-
-# The parameters each family reads: `EquationSpec` fields, with h its
-# exponent field.  STDMA and GENMA fix l1, l2, m1 and m2 themselves, and the
-# LAGR_X1X2 coframe has no first-order terms to match m1 and m2.
-FAMILY_PARAMETERS: dict[Family, tuple[str, ...]] = {
-    Family.STDMA: (), Family.GENMA: (), Family.DETA_T3: (),
-    Family.LAGR_X1X2: ("l1", "l2"), Family.LAGR_X2Y1: ("l1", "l2", "m1", "m2"),
-    Family.WARPED: ("c", "h"), Family.WARPED_T3: ("h",),
-    Family.NDIM_FULL: ("n",), Family.NDIM_HESSIAN: ("n",), Family.NDIM_B: ("n",),
-}
 
 
 def _check_grid(spec: EquationSpec, u: ScalarField) -> None:
@@ -231,7 +201,7 @@ def min_eigenvalue(S: list) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one statement per family
+# one row per family
 # ---------------------------------------------------------------------------
 #
 # A family reads a list of linear spectral features of u and builds from them
@@ -240,7 +210,8 @@ def min_eigenvalue(S: list) -> float:
 # The residual, the linearization, the coefficient matrix and the warped
 # branch minima are all derived from that one statement.  Feature keys:
 # (a,) is u_a, (a, b) with a <= b is u_ab, and ("div", a, s) is the
-# divergence form (e^{s h} u_a)_a.
+# divergence form (e^{s h} u_a)_a.  The same row names the family's axes and
+# parameters, its coframe and its datum weight.
 
 class _Features(dict):
     """Linear spectral features of one field, each taken on first use; a
@@ -265,10 +236,26 @@ class _Features(dict):
 
 @dataclass(frozen=True)
 class _Statement:
+    """One family's row.  axes(n) names its base coordinates in grid-axis
+    order, and their count is its dimension; params are the parameters it
+    reads, fixed the values it pins other than the field defaults; features,
+    matrix, correction and scale state its residual; structure(spec, grid) is
+    its coframe; log_weight(spec) is the w with residual = e^w * ratio, for
+    the top-form ratio e^F of the geometric route."""
+
+    axes: Callable[[int], tuple[str, ...]]
     features: Callable[[EquationSpec], tuple]
     matrix: Callable[[EquationSpec, dict], list]
+    structure: Callable[[EquationSpec, TorusGrid], nf.NilStructure]
+    params: tuple[str, ...] = ()
+    fixed: dict = field(default_factory=dict)
     correction: Callable[[EquationSpec, dict, list], object] | None = None
     scale: Callable[[EquationSpec], float] | None = None
+    log_weight: Callable[[EquationSpec], object] = lambda s: 0.0
+
+
+def _numbered(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{k + 1}" for k in range(n))
 
 
 def _hessian_keys(n: int) -> tuple:
@@ -292,52 +279,106 @@ def _fiber_correction(s: EquationSpec, f: dict, M: list):
                for k in range(1, n) for m in range(1, n))
 
 
-_LAGRANGIAN = _Statement(
+def _lagrangian_scales(s: EquationSpec) -> tuple[int, float, float]:
+    """Branch sign and coordinate scales a, c0 with |l1| = 1/a^2, |l2| = 1/c0^2."""
+    return (1 if s.l1 > 0 else -1), 1.0 / np.sqrt(abs(s.l1)), 1.0 / np.sqrt(abs(s.l2))
+
+
+def _lagr_x1x2_coframe(s: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
+    sign, a, c0 = _lagrangian_scales(s)
+    p = s.coframe or CoframeParams(scale_x=1.0, scale_y=1.0, lam2=-1.0)
+    return nf.lagrangian_coframe_xx(grid, a, c0, p.lam1 * p.scale_x * p.scale_y,
+                                    p.lam2 * p.scale_x * p.scale_y, sign=sign)
+
+
+def _lagr_x2y1_coframe(s: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
+    sign, a, c0 = _lagrangian_scales(s)
+    mu = s.coframe.mu if s.coframe is not None else 0.0
+    return nf.lagrangian_coframe_xy(grid, a, c0, lam=s.m1 * c0**2 / a, mu=mu,
+                                    nu=-s.m2 * c0, sign=sign)
+
+
+# The Lagrangian-fibration statement on (x, y), which each of its rows
+# completes.  STDMA and GENMA read no parameter, and the LAGR_X1X2 coframe
+# has no first-order terms to match m1 and m2.
+_lagrangian = partial(
+    _Statement,
+    axes=lambda n: ("x", "y"),
     features=lambda s: ((0, 0), (1, 1), (0, 1), (0,), (1,)),
     matrix=lambda s, f: [[s.l1 + f[0, 0], f[0, 1]],
                          [f[0, 1], s.l2 + f[1, 1] + s.m1 * f[(0,)] + s.m2 * f[(1,)]]],
     scale=lambda s: s.l1 * s.l2,
 )
 
+
 _STATEMENTS: dict[Family, _Statement] = {
-    Family.STDMA: _LAGRANGIAN,
-    Family.GENMA: _LAGRANGIAN,
-    Family.LAGR_X1X2: _LAGRANGIAN,
-    Family.LAGR_X2Y1: _LAGRANGIAN,
+    Family.STDMA: _lagrangian(structure=lambda s, g: nf.nil_bundle(g, 2, ("e1", "e2"))),
+    Family.GENMA: _lagrangian(fixed={"m2": 1.0},
+                              structure=lambda s, g: nf.nil_bundle(g, 2, ("e2", "f1"))),
+    Family.LAGR_X1X2: _lagrangian(params=("l1", "l2"), structure=_lagr_x1x2_coframe),
+    Family.LAGR_X2Y1: _lagrangian(params=("l1", "l2", "m1", "m2"), structure=_lagr_x2y1_coframe),
     Family.WARPED: _Statement(
+        axes=lambda n: ("x", "y"),
+        params=("c", "h"),
         features=lambda s: (("div", 0, 1), (0,), (1, 1), (0, 1)),
         matrix=lambda s, f: [[s._exp_h[-1] * (1.0 + f["div", 0, 1] + s.c * f[(0,)]), f[0, 1]],
                              [f[0, 1], 1.0 + f[1, 1]]],
+        structure=lambda s, g: nf.nil_bundle(g, 2, ("f1", "e2"), twist=s.c,
+                                             warp=ScalarField(s.h.grid, -s.h.values)),
+        log_weight=lambda s: -s.h.values,
     ),
     Family.DETA_T3: _Statement(
+        axes=lambda n: ("x1", "x2", "y1"),
         features=lambda s: ((0, 0), (2, 2), (2,), (1, 1), (0, 1), (1, 2)),
         matrix=lambda s, f: [[1.0 + f[0, 0] + f[2, 2] + f[(2,)], f[0, 1]],
                              [f[0, 1], 1.0 + f[1, 1]]],
         correction=lambda s, f, M: f[1, 2] ** 2,
+        structure=lambda s, g: nf.nil_bundle(g, 2, ("e1", "e2", "f1")),
     ),
     Family.WARPED_T3: _Statement(
+        axes=lambda n: ("x1", "x2", "y1"),
+        params=("h",),
         features=lambda s: (("div", 0, 1), ("div", 2, -1), (2,), (1, 1), (0, 1), (1, 2)),
         matrix=lambda s, f: [[1.0 + f["div", 0, 1] + f["div", 2, -1] + f[(2,)], f[0, 1]],
                              [s._exp_h[1] * f[0, 1], 1.0 + f[1, 1]]],
         correction=lambda s, f, M: s._exp_h[-1] * f[1, 2] ** 2,
+        structure=lambda s, g: nf.nil_bundle(g, 2, ("e1", "e2", "f1"), warp=s.h),
     ),
     Family.NDIM_FULL: _Statement(
+        axes=lambda n: _numbered("x", n) + ("y1",),
+        params=("n",),
         # the first diagonal entry carries the fiber-direction second
         # derivative and the drift term
         features=lambda s: (_hessian_keys(s.n) + ((s.n, s.n), (s.n,))
                             + tuple((k, s.n) for k in range(1, s.n))),
         matrix=lambda s, f: _hessian_matrix(s.n, f, f[s.n, s.n] + f[(s.n,)]),
         correction=_fiber_correction,
+        structure=lambda s, g: nf.nil_bundle(g, s.n, _numbered("e", s.n) + ("f1",)),
     ),
     Family.NDIM_HESSIAN: _Statement(
+        axes=lambda n: _numbered("x", n),
+        params=("n",),
         features=lambda s: _hessian_keys(s.n),
         matrix=lambda s, f: _hessian_matrix(s.n, f),
+        structure=lambda s, g: nf.nil_bundle(g, s.n, _numbered("e", s.n)),
     ),
     Family.NDIM_B: _Statement(
+        axes=lambda n: _numbered("z", n),
+        params=("n",),
         features=lambda s: _hessian_keys(s.n) + ((0,),),
         matrix=lambda s, f: _hessian_matrix(s.n, f, f[(0,)]),
+        structure=lambda s, g: nf.nil_bundle(g, s.n, ("f1",) + _numbered("e", s.n)[1:]),
     ),
 }
+
+# The parameters each family reads, with h its exponent field.
+FAMILY_PARAMETERS: dict[Family, tuple[str, ...]] = {
+    family: row.params for family, row in _STATEMENTS.items()}
+
+
+def family_axis_names(family: Family | str, n: int = 2) -> tuple[str, ...]:
+    """Base-coordinate names of a family's torus, in grid-axis order."""
+    return _STATEMENTS[Family(family)].axes(n)
 
 
 def _pointwise(spec: EquationSpec, f: dict):
@@ -371,7 +412,7 @@ def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
     """The published n = 3 closed-form expression, implemented verbatim for
     comparison: its first-order sign and correction terms disagree with the
     exterior-algebra expansion, which is the residual of record."""
-    if spec.family is not Family.NDIM_FULL or spec.n != 3:
+    if spec.axis_names != ("x1", "x2", "x3", "y1"):
         raise ValueError("the printed comparison form is stated for n = 3")
     _check_grid(spec, u)
     f = _Features(spec, u)
@@ -436,10 +477,7 @@ def manufactured_datum(spec: EquationSpec, u_star: ScalarField) -> ScalarField:
     r = residual(spec, u_star)
     if np.min(r.values) <= 0.0:
         raise ValueError("candidate leaves the elliptic branch: residual must stay positive")
-    vals = np.log(r.values)
-    if spec.family is Family.WARPED:
-        vals = vals + spec.h.values
-    return ScalarField(u_star.grid, vals)
+    return ScalarField(u_star.grid, np.log(r.values) - datum_log_weight(spec))
 
 
 def normalize_datum(spec: EquationSpec, F: ScalarField) -> ScalarField:
@@ -470,56 +508,19 @@ def branch_sign(spec: EquationSpec) -> float:
 
 def structure_for(spec: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
     """Invariant-coframe structure whose reduction is the family's equation."""
-    fam = spec.family
-    if fam is Family.STDMA:
-        return nf.nil_bundle(grid, 2, ("e1", "e2"))
-    if fam is Family.GENMA:
-        return nf.nil_bundle(grid, 2, ("e2", "f1"))
-    if fam is Family.LAGR_X1X2:
-        s = 1 if spec.l1 > 0 else -1
-        a = 1.0 / np.sqrt(abs(spec.l1))
-        c0 = 1.0 / np.sqrt(abs(spec.l2))
-        if spec.coframe is not None:
-            p = spec.coframe
-            lam1 = p.lam1 * p.scale_x * p.scale_y
-            lam2 = p.lam2 * p.scale_x * p.scale_y
-        else:
-            lam1, lam2 = 0.0, -1.0
-        return nf.lagrangian_coframe_xx(grid, a, c0, lam1, lam2, sign=s)
-    if fam is Family.LAGR_X2Y1:
-        s = 1 if spec.l1 > 0 else -1
-        a = 1.0 / np.sqrt(abs(spec.l1))
-        c0 = 1.0 / np.sqrt(abs(spec.l2))
-        lam = spec.m1 * c0**2 / a
-        nu = -spec.m2 * c0
-        mu = spec.coframe.mu if spec.coframe is not None else 0.0
-        return nf.lagrangian_coframe_xy(grid, a, c0, lam=lam, mu=mu, nu=nu, sign=s)
-    if fam is Family.WARPED:
-        warp = ScalarField(spec.h.grid, -spec.h.values)
-        return nf.nil_bundle(grid, 2, ("f1", "e2"), warp=warp, twist=spec.c)
-    if fam is Family.DETA_T3:
-        return nf.nil_bundle(grid, 2, ("e1", "e2", "f1"))
-    if fam is Family.WARPED_T3:
-        return nf.nil_bundle(grid, 2, ("e1", "e2", "f1"), warp=spec.h)
-    if fam is Family.NDIM_FULL:
-        axes = tuple(f"e{k + 1}" for k in range(spec.n)) + ("f1",)
-        return nf.nil_bundle(grid, spec.n, axes)
-    if fam is Family.NDIM_HESSIAN:
-        axes = tuple(f"e{k + 1}" for k in range(spec.n))
-        return nf.nil_bundle(grid, spec.n, axes)
-    if fam is Family.NDIM_B:
-        axes = ("f1",) + tuple(f"e{k + 1}" for k in range(1, spec.n))
-        return nf.nil_bundle(grid, spec.n, axes)
-    raise ValueError(f"no geometric realization for {fam}")
+    return _STATEMENTS[spec.family].structure(spec, grid)
+
+
+def datum_log_weight(spec: EquationSpec):
+    """The family's w in residual = e^w * (top-form ratio): -h for WARPED,
+    whose residual divides the ratio by e^h, and 0 for every other family."""
+    return _STATEMENTS[spec.family].log_weight(spec)
 
 
 def residual_geom(spec: EquationSpec, u: ScalarField) -> ScalarField:
     """The family's residual recomputed through the exterior-algebra route:
-    rebuild omega + d(alpha) and expand its top wedge power."""
+    rebuild omega + d(alpha), expand its top wedge power and weight it."""
     _check_grid(spec, u)
     st = structure_for(spec, u.grid)
     w, _ = nf.ansatz_forms(u, st)
-    ratio = nf.top_form_ratio(w, st)
-    if spec.family is Family.WARPED:
-        return ScalarField(u.grid, np.exp(-spec.h.values) * ratio.values)
-    return ratio
+    return ScalarField(u.grid, np.exp(datum_log_weight(spec)) * nf.top_form_ratio(w, st).values)

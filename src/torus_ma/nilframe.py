@@ -289,8 +289,7 @@ def ansatz_correction(u: ScalarField, structure: NilStructure) -> InvariantForm:
     differential of -J du + a(u) J-invariant for every u on the base.
     """
     return InvariantForm(structure, 1, {(label,): coeff * u.values
-                                        for coeff, label in structure.correction
-                                        if coeff != 0.0})
+                                        for coeff, label in structure.correction})
 
 
 def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:
@@ -314,9 +313,36 @@ def ansatz_forms(u: ScalarField, structure: NilStructure) -> tuple[InvariantForm
 # structure factories
 # ---------------------------------------------------------------------------
 
-def _paired_omega(rank: int) -> dict[tuple[int, int], float]:
-    n = rank // 2
-    return {(k, n + k): 1.0 for k in range(n)}
+def _paired_coframe(grid, names, n, d, coords, correction, sign=1.0, warp=None) -> NilStructure:
+    """Coframe (a1..an, b1..bn) for `names` = (a, b): omega pairs a_k with b_k,
+    J(a_k) = -sign * b_k and J(b_k) = sign * a_k, with e^h and e^-h on the
+    first pair for the exponent field h = `warp`.  `d` gives differentials
+    {label: {(label, label): constant}} on increasing pairs, `coords` each
+    grid axis as (label, scale), and `correction` the ansatz terms
+    (constant, label); zero constants are dropped."""
+    labels = tuple(f"{name}{k + 1}" for name in names for k in range(n))
+    at = labels.index
+    s = float(sign)
+    eh, emh = 1.0, 1.0
+    if warp is not None:
+        if not warp.grid.compatible(grid):
+            raise ValueError("warp field must live on the structure grid")
+        eh, emh = np.exp(warp.values), np.exp(-warp.values)
+    j_table = {0: {n: -s * eh}, n: {0: s * emh}}
+    for k in range(1, n):
+        j_table[k] = {n + k: -s}
+        j_table[n + k] = {k: s}
+    d_table = {at(lab): {(at(p), at(q)): float(c) for (p, q), c in dl.items() if c != 0.0}
+               for lab, dl in d.items()}
+    return NilStructure(
+        labels=labels,
+        grid=grid,
+        d_table={i: di for i, di in d_table.items() if di},
+        j_table=j_table,
+        omega_terms={(k, n + k): 1.0 for k in range(n)},
+        coord_forms=tuple({at(lab): float(scale)} for lab, scale in coords),
+        correction=tuple((float(c), at(lab)) for c, lab in correction if c != 0.0),
+    )
 
 
 def nil_bundle(
@@ -338,28 +364,10 @@ def nil_bundle(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    labels = tuple(f"e{k + 1}" for k in range(n)) + tuple(f"f{k + 1}" for k in range(n))
     # d f_k = twist * e_k ^ e_1, stored on the increasing pair as -twist * (e_1 ^ e_k)
-    d_table = {n + k: {(0, k): -float(twist)} for k in range(1, n)} if twist != 0.0 else {}
-    eh, emh = 1.0, 1.0
-    if warp is not None:
-        if not warp.grid.compatible(grid):
-            raise ValueError("warp field must live on the structure grid")
-        eh, emh = np.exp(warp.values), np.exp(-warp.values)
-    j_table = {0: {n: -eh}, n: {0: emh}}
-    for k in range(1, n):
-        j_table[k] = {n + k: -1.0}
-        j_table[n + k] = {k: 1.0}
-    coord_forms = tuple({labels.index(lab): 1.0} for lab in axis_labels)
-    return NilStructure(
-        labels=labels,
-        grid=grid,
-        d_table=d_table,
-        j_table=j_table,
-        omega_terms=_paired_omega(2 * n),
-        coord_forms=coord_forms,
-        correction=((-float(twist), 0),) if twist != 0.0 else (),
-    )
+    d = {f"f{k + 1}": {("e1", f"e{k + 1}"): -twist} for k in range(1, n)}
+    return _paired_coframe(grid, ("e", "f"), n, d, [(lab, 1.0) for lab in axis_labels],
+                           [(-twist, "e1")], warp=warp)
 
 
 def lagrangian_coframe_xx(
@@ -378,25 +386,9 @@ def lagrangian_coframe_xx(
     (1,1), and the top-form ratio of omega + d(alpha) is then
     (1 + sign*scale_x^2 u_xx)(1 + sign*scale_y^2 u_yy) - (scale_x scale_y u_xy)^2.
     """
-    labels = ("a1", "a2", "b1", "b2")
-    a1, a2, b1, b2 = 0, 1, 2, 3
-    s = float(sign)
-    d_table = {}
-    if lam1 != 0.0:
-        d_table[b1] = {(a1, a2): float(lam1)}
-    if lam2 != 0.0:
-        d_table[b2] = {(a1, a2): float(lam2)}
-    j_table = {a1: {b1: -s}, a2: {b2: -s}, b1: {a1: s}, b2: {a2: s}}
-    coord_forms = ({a1: float(scale_x)}, {a2: float(scale_y)})
-    return NilStructure(
-        labels=labels,
-        grid=grid,
-        d_table=d_table,
-        j_table=j_table,
-        omega_terms=_paired_omega(4),
-        coord_forms=coord_forms,
-        correction=((s * float(lam2), a1), (-s * float(lam1), a2)),
-    )
+    d = {"b1": {("a1", "a2"): lam1}, "b2": {("a1", "a2"): lam2}}
+    return _paired_coframe(grid, ("a", "b"), 2, d, [("a1", scale_x), ("a2", scale_y)],
+                           [(sign * lam2, "a1"), (-sign * lam1, "a2")], sign)
 
 
 def lagrangian_coframe_xy(
@@ -418,25 +410,6 @@ def lagrangian_coframe_xy(
     The standard Kodaira-Thurston fibration over (x2, y1) is lam = mu = 0,
     nu = -1, sign = 1 (then the correction is -u * a1).
     """
-    labels = ("a1", "a2", "b1", "b2")
-    a1, a2, b1, b2 = 0, 1, 2, 3
-    s = float(sign)
-    db2 = {}
-    if lam != 0.0:
-        db2[(a1, b1)] = float(lam)
-    if mu != 0.0:
-        db2[(a2, b1)] = float(mu)
-    if nu != 0.0:
-        db2[(a1, a2)] = float(nu)
-    d_table = {b2: db2} if db2 else {}
-    j_table = {a1: {b1: -s}, a2: {b2: -s}, b1: {a1: s}, b2: {a2: s}}
-    coord_forms = ({a2: float(scale_x)}, {b1: float(scale_y)})
-    return NilStructure(
-        labels=labels,
-        grid=grid,
-        d_table=d_table,
-        j_table=j_table,
-        omega_terms=_paired_omega(4),
-        coord_forms=coord_forms,
-        correction=((s * float(nu), a1), (-s * float(mu), b1)),
-    )
+    d = {"b2": {("a1", "b1"): lam, ("a2", "b1"): mu, ("a1", "a2"): nu}}
+    return _paired_coframe(grid, ("a", "b"), 2, d, [("a2", scale_x), ("b1", scale_y)],
+                           [(sign * nu, "a1"), (-sign * mu, "b1")], sign)

@@ -28,6 +28,7 @@ from .equations import (
     branch_sign,
     coefficient_entries,
     coefficient_matrix,
+    datum_log_weight,
     linearizer,
     min_eigenvalue,
     residual,
@@ -169,9 +170,7 @@ def warped_branch_minima(spec: EquationSpec, u: ScalarField) -> tuple[float, flo
 
 def _target_log_rhs(spec: EquationSpec, F: ScalarField, t: float) -> ScalarField:
     G = homotopy_datum(F, t)
-    if spec.family is Family.WARPED:
-        return ScalarField(F.grid, G.values - spec.h.values)
-    return G
+    return ScalarField(F.grid, G.values + datum_log_weight(spec))
 
 
 def _linear_solve(L, grid, rhs_field, rhs_mean, cfg, rtol):

@@ -149,6 +149,27 @@ class TestReportTree:
         assert back["status"] == "Converged"
         assert back["trace"] == {}
 
+    def test_line_break_in_a_config_key_stays_in_its_entry(self, tmp_path):
+        # the source echo of the key wrote a line "verification: 1" at the
+        # top level, and the keys after it left the config subtree
+        code, report = run_config(tmp_path, "selftest", {"note\nverification": 1, "seed": 0})
+        assert_config_error(code, report)
+        tree = cli.read_report(report)
+        assert "verification" not in tree and "seed" not in tree
+        assert tree["config"]["source"]["note\nverification"] == "1"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tree=st.recursive(
+        st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3),
+        lambda inner: st.dictionaries(st.text(max_size=6), inner | st.text(max_size=6),
+                                      max_size=3),
+        max_leaves=12))
+    def test_any_text_tree_reads_back(self, tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "report.txt"
+            cli.write_report(p, tree)
+            assert cli.read_report(p) == tree
+
 
 class TestRunPipeline:
     def test_solve_and_verify_roundtrip(self, tmp_path):
@@ -222,6 +243,21 @@ class TestRunPipeline:
             solution={"dump": str(tmp_path / "wrong.tma")},
             out=str(tmp_path / "run"), seed=0)
         assert cli.main(["verify", "--config", cfg]) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_candidate_fails_verification(self, tmp_path):
+        # the candidate's forms overflow inside verify_solution; that exited 3
+        # as a SolverError, though verify mode solves nothing
+        g = TorusGrid((8, 8))
+        rng = np.random.default_rng(0)
+        dumpio.write_field(tmp_path / "u.tma", ScalarField(g, 1e200 * rng.uniform(-1, 1, g.sizes)))
+        dumpio.write_field(tmp_path / "datum.tma", ScalarField(g, np.zeros(g.sizes)))
+        body = {"family": "STDMA", "grid": [8, 8], "datum": {"dump": str(tmp_path / "datum.tma")},
+                "solution": {"dump": str(tmp_path / "u.tma")}}
+        code, report = run_config(tmp_path, "verify", body)
+        assert code == 4
+        tree = cli.read_report(report)
+        assert (tree["status"], tree["error_code"]) == ("VerifyFailed", "verify")
 
     def test_selftest_mode(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", mode="selftest",
@@ -700,5 +736,6 @@ class TestConfigFuzz:
             text = json.dumps(body).replace('"@dump"', json.dumps(str(tmp / "d.tma")))
             (tmp / "cfg.json").write_text(text, encoding="utf-8")
             code = cli.main([mode, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "run")])
-            assert code in (0, 2, 3, 4)
+            # verify and selftest solve nothing, so they never exit 3
+            assert code in ((0, 2, 4) if mode in ("verify", "selftest") else (0, 2, 3, 4))
             assert (tmp / "run" / "report.txt").exists()

@@ -76,6 +76,33 @@ class TestSpecValidation:
         assert (s2.l1, s2.l2) == (pytest.approx(0.25), pytest.approx(4.0))
 
 
+# A value for each parameter that no family reading it would ignore.
+_PERTURBED = {"l1": -2.0, "l2": -3.0, "m1": 0.3, "m2": -0.4, "c": 0.7, "n": 3}
+
+
+def _unread_parameters():
+    return [pytest.param(family, name, id=f"{family.value}-{name}")
+            for family in eq.Family for name in (*_PERTURBED, "h")
+            if name not in eq.FAMILY_PARAMETERS[family]]
+
+
+@pytest.mark.parametrize("family,name", _unread_parameters())
+def test_unread_parameter_is_pinned(family, name, rng):
+    # EquationSpec(LAGR_X1X2, m1=0.3) put m1 into the residual but not into
+    # the coframe, so the two routes differed by 4.9e-2, and
+    # EquationSpec(DETA_T3, l1=-2) tracked the negative branch
+    grid = TorusGrid((8,) * len(eq.family_axis_names(family)))
+    h = random_trig_field(grid, rng, max_mode=1, scale=0.3, axes=(0,))
+    base = {"h": h} if "h" in eq.FAMILY_PARAMETERS[family] else {}
+    spec = eq.EquationSpec(family, **base)
+    perturbed = eq.EquationSpec(family, **{**base, name: h if name == "h" else _PERTURBED[name]})
+    u = random_trig_field(grid, rng, max_mode=1, scale=0.02)
+    assert np.array_equal(eq.residual(perturbed, u).values, eq.residual(spec, u).values)
+    assert np.array_equal(eq.residual_geom(perturbed, u).values,
+                          eq.residual_geom(spec, u).values)
+    assert eq.branch_sign(perturbed) == eq.branch_sign(spec)
+
+
 class TestResidual:
     def test_flat_point(self, grid2):
         zero = ScalarField(grid2, np.zeros(grid2.sizes))
