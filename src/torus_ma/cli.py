@@ -22,6 +22,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -253,9 +254,11 @@ def _fmt(v) -> str:
 def _text(text: str, key: bool = False) -> str:
     """text as a report writes it: verbatim where `read_report` gives it back
     unchanged, else as a JSON string (a line break, surrounding blanks, an
-    empty text, a leading double quote, or a colon in a key)."""
+    empty text, a leading double quote, a colon in a key, or a lone
+    surrogate, which UTF-8 cannot encode)."""
     if (text and text == text.strip() and text.splitlines() == [text]
-            and not text.startswith('"') and not (key and ":" in text)):
+            and not text.startswith('"') and not (key and ":" in text)
+            and not re.search("[\ud800-\udfff]", text)):
         return text
     return json.dumps(text)
 
@@ -277,7 +280,7 @@ def write_report(path: str | Path, tree: dict) -> None:
                 lines.append("  " * depth + f"{key}: {_text(_fmt(val))}")
 
     emit(tree, 0)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", errors="backslashreplace")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_report(path: str | Path) -> dict:
@@ -347,9 +350,16 @@ def run(cfg: RunConfig, force: bool = False) -> int:
     t_start = time.time()
     try:
         out = _prepare_out(cfg, force)
+        return _run_into(cfg, out, t_start)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # the accepted directory takes no file, e.g. a too long path
+        print(f"config error: cannot write into output directory {out}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run_into(cfg: RunConfig, out: Path, t_start: float) -> int:
+    """Run `cfg` with its dumps and report written into the accepted `out`."""
     tree: dict = {"config": {"mode": cfg.mode}}
     artifacts: dict = {}
 

@@ -10,11 +10,14 @@ exact up to grid roundoff.
 
 Index conventions: a k-form is a map from strictly increasing label-index
 tuples to coefficients; sign bookkeeping is done by the operations, never by
-the caller.
+the caller, and in one place: `_signed_sum` sorts, signs and sums the terms
+of every product.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +25,31 @@ import numpy as np
 from .grid import ScalarField, TorusGrid, derivative
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Sorted merge of two strictly increasing index tuples with parity.
+def _permutation_sign(idx: tuple[int, ...]) -> int:
+    """Parity of the permutation that sorts `idx`; 0 when an index repeats."""
+    if len(set(idx)) < len(idx):
+        return 0
+    inversions = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1:])
+    return -1 if inversions % 2 else 1
 
-    Returns (key, sign) or (None, 0) when an index repeats.
+
+def _signed_sum(structure: NilStructure, degree: int, contributions) -> InvariantForm:
+    """Pruned sum of sign(I) * f1 * f2 * ... * theta^sorted(I) over the
+    contributions (I, (f1, f2, ...)): the one place that sorts, signs and sums.
+
+    An I that repeats an index contributes nothing, and its factors are never
+    multiplied.  The factors multiply left to right and a sign of -1 negates
+    the product, which is exact; terms on one key add in contribution order.
     """
-    if set(left) & set(right):
-        return None, 0
-    idx = left + right
-    key = tuple(sorted(idx))
-    pos = [idx.index(t) for t in key]
-    inv = sum(1 for i in range(len(pos)) for j in range(i + 1, len(pos)) if pos[i] > pos[j])
-    return key, (-1 if inv % 2 else 1)
+    terms: dict[tuple[int, ...], np.ndarray | float] = {}
+    for I, factors in contributions:
+        sign = _permutation_sign(I)
+        if sign:
+            c = math.prod(factors[1:], start=factors[0])
+            c = c if sign > 0 else -c
+            key = tuple(sorted(I))
+            terms[key] = terms[key] + c if key in terms else c
+    return InvariantForm(structure, degree, terms).prune()
 
 
 def _is_zero(c) -> bool:
@@ -115,18 +131,16 @@ class NilStructure:
 
     def validate(self, tol: float = 1e-12) -> None:
         """Check J^2 = -1 on the coframe and J-invariance of omega, pointwise."""
-        n = self.rank
-        for i in range(n):
-            acc = {}
-            for j, cij in self.j_table.get(i, {}).items():
-                for k, cjk in self.j_table.get(j, {}).items():
-                    acc[k] = acc.get(k, 0.0) + np.asarray(cij, dtype=float) * np.asarray(cjk, dtype=float)
-            for k, v in acc.items():
-                want = -1.0 if k == i else 0.0
-                if np.max(np.abs(v - want)) > tol:
-                    raise AssertionError(f"J^2 != -1 at coframe index {i}")
+        J = self.j_table
+        for i in range(self.rank):
+            # J(J theta^i) + theta^i, which also catches a row of J that is missing
+            defect = _signed_sum(self, 1, [((i,), (1.0,))] + [
+                ((k,), (cij, cjk)) for j, cij in J.get(i, {}).items()
+                for k, cjk in J.get(j, {}).items()])
+            if defect.max_norm() > tol:
+                raise AssertionError(f"J^2 != -1 at coframe index {i}")
         om = self.omega
-        defect = form_sub(j_conjugate(om), om)
+        defect = _signed_sum(self, 2, [*_j_images(om), *((I, (-c,)) for I, c in om.terms.items())])
         if defect.max_norm() > tol:
             raise AssertionError("omega is not J-invariant")
 
@@ -152,41 +166,24 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     """Exterior product with antisymmetric sign bookkeeping.
 
     Degrees add; a result beyond the manifold's top degree is the zero form of
-    that degree.
+    that degree, since each of its index tuples repeats an index.
     """
-    if a.structure is not b.structure:
+    if a.structure is not b.structure:  # one structure is one grid
         raise ValueError("wedge requires forms over the same structure")
-    if not a.structure.grid.compatible(b.structure.grid):
-        raise ValueError("wedge requires a shared grid")
-    deg = a.degree + b.degree
-    out: dict[tuple[int, ...], np.ndarray | float] = {}
-    if deg > a.structure.rank:
-        return InvariantForm(a.structure, deg, {})
-    for I, cI in a.terms.items():
-        for J, cJ in b.terms.items():
-            key, sign = _merge_sign(I, J)
-            if key is None:
-                continue
-            contrib = sign * cI * cJ
-            out[key] = out[key] + contrib if key in out else contrib
-    return InvariantForm(a.structure, deg, out).prune()
+    return _signed_sum(a.structure, a.degree + b.degree, (
+        (I + J, (cI, cJ)) for I, cI in a.terms.items() for J, cJ in b.terms.items()))
 
 
-def _coefficient_differential(structure: NilStructure, c) -> list[tuple[int, np.ndarray]]:
-    """d of a coefficient as [(label, field)] via the coordinate differentials."""
-    if not isinstance(c, np.ndarray):
-        return []
-    f = ScalarField(structure.grid, c)
-    parts: dict[int, np.ndarray] = {}
+def _coefficient_differential(structure: NilStructure, f: ScalarField, I=()):
+    """df ^ theta_I as contributions, one per nonzero partial of f and label
+    of its coordinate differential."""
     for axis, cf in enumerate(structure.coord_forms):
         dvals = derivative(f, axis, 1).values
         if not np.any(dvals):
             continue
         for label, coeff in cf.items():
-            if coeff == 0.0:
-                continue
-            parts[label] = parts.get(label, 0.0) + coeff * dvals
-    return list(parts.items())
+            if coeff != 0.0:
+                yield (label,) + I, (coeff * dvals,)
 
 
 def exterior_derivative(a: InvariantForm) -> InvariantForm:
@@ -197,58 +194,48 @@ def exterior_derivative(a: InvariantForm) -> InvariantForm:
     Leibniz rule and d o d = 0 hold to grid roundoff.
     """
     st = a.structure
-    out = st.zero_form(a.degree + 1)
-    for I, c in a.terms.items():
-        for label, dc in _coefficient_differential(st, c):
-            out = form_add(out, wedge(InvariantForm(st, 1, {(label,): dc}),
-                                      InvariantForm(st, len(I), {I: 1.0})))
-        # c * d(theta_I) term by term via Leibniz
-        for pos, lab in enumerate(I):
-            dth = st.d_table.get(lab, {})
-            if not dth:
-                continue
-            rest = I[:pos] + I[pos + 1:]
-            sign = -1.0 if pos % 2 else 1.0
-            dform = InvariantForm(st, 2, {k: v for k, v in dth.items()})
-            out = form_add(out, form_scale(
-                wedge(dform, InvariantForm(st, len(rest), {rest: 1.0})), sign * c))
-    return out.prune()
+
+    def contributions():
+        for I, c in a.terms.items():
+            if isinstance(c, np.ndarray):
+                yield from _coefficient_differential(st, ScalarField(st.grid, c), I)
+            # c * d(theta_I) term by term via Leibniz: d passes pos 1-forms
+            # to reach theta_I[pos], and the 2-form d(theta_I[pos]) commutes
+            for pos, lab in enumerate(I):
+                for pair, v in st.d_table.get(lab, {}).items():
+                    yield pair + I[:pos] + I[pos + 1:], (-v if pos % 2 else v, c)
+
+    return _signed_sum(st, a.degree + 1, contributions())
 
 
 def scalar_differential(structure: NilStructure, u: ScalarField) -> InvariantForm:
-    """du for a scalar on the base: partials paired with coordinate differentials."""
+    """du for a scalar on the base: partials paired with coordinate
+    differentials, taken from a transient spectrum of u."""
     if not structure.grid.compatible(u.grid):
         raise ValueError("scalar lives on a different grid than the structure")
-    zero = InvariantForm(structure, 0, {(): u.values})
-    return exterior_derivative(zero)
+    return _signed_sum(structure, 1, _coefficient_differential(
+        structure, ScalarField(u.grid, u.values)))
 
 
 def apply_J(a: InvariantForm) -> InvariantForm:
     """Termwise J-action on a 1-form through the structure's coframe table."""
     if a.degree != 1:
         raise ValueError("apply_J expects a 1-form")
-    st = a.structure
-    terms: dict[tuple[int, ...], np.ndarray | float] = {}
-    for (i,), c in a.terms.items():
-        for j, cij in st.j_table.get(i, {}).items():
-            contrib = c * cij
-            key = (j,)
-            terms[key] = terms[key] + contrib if key in terms else contrib
-    return InvariantForm(st, 1, terms).prune()
+    return j_conjugate(a)
+
+
+def _j_images(a: InvariantForm):
+    """J applied to every slot of each term of `a`, as contributions: the
+    image tuple and the term's coefficient followed by the slots' J entries."""
+    J = a.structure.j_table
+    for I, c in a.terms.items():
+        for images in itertools.product(*(J.get(i, {}).items() for i in I)):
+            yield tuple(j for j, _ in images), (c, *(cij for _, cij in images))
 
 
 def j_conjugate(a: InvariantForm) -> InvariantForm:
     """Apply J to every slot of a form (a(J., J.) for degree 2)."""
-    st = a.structure
-    out = st.zero_form(a.degree)
-    for I, c in a.terms.items():
-        acc = InvariantForm(st, 0, {(): c})
-        for i in I:
-            img = InvariantForm(st, 1, dict(
-                ((j,), cij) for j, cij in st.j_table.get(i, {}).items()))
-            acc = wedge(acc, img)
-        out = form_add(out, acc)
-    return out.prune()
+    return _signed_sum(a.structure, a.degree, _j_images(a))
 
 
 def type_split(a: InvariantForm) -> tuple[InvariantForm, InvariantForm]:
@@ -277,9 +264,7 @@ def top_form_ratio(w: InvariantForm, structure: NilStructure | None = None) -> S
     if _is_zero(denom):
         raise ValueError("omega^n is degenerate")
     num = wn.terms.get(top, 0.0)
-    vals = np.broadcast_to(np.asarray(num, dtype=float) / np.asarray(denom, dtype=float),
-                           st.grid.sizes)
-    return ScalarField(st.grid, vals.copy())
+    return ScalarField(st.grid, np.asarray(num, dtype=float) / np.asarray(denom, dtype=float))
 
 
 def ansatz_correction(u: ScalarField, structure: NilStructure) -> InvariantForm:

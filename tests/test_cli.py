@@ -128,6 +128,10 @@ class TestDumpFormat:
             assert np.array_equal(dumpio.read_field(p).values, f.values)
 
 
+# short texts that include lone surrogates, which the default alphabet leaves out
+ANY_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+
+
 class TestReportTree:
     def test_roundtrip(self, tmp_path):
         tree = {
@@ -158,17 +162,28 @@ class TestReportTree:
         assert "verification" not in tree and "seed" not in tree
         assert tree["config"]["source"]["note\nverification"] == "1"
 
+    def test_lone_surrogate_reads_back(self, tmp_path):
+        # written with errors="backslashreplace", it read back as the six
+        # characters \\ud800
+        p = tmp_path / "report.txt"
+        tree = {"source": {"family": "\ud800", "a\udfffb": "x \udc80"}}
+        cli.write_report(p, tree)
+        assert cli.read_report(p) == tree
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(tree=st.recursive(
-        st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3),
-        lambda inner: st.dictionaries(st.text(max_size=6), inner | st.text(max_size=6),
-                                      max_size=3),
+        st.dictionaries(ANY_TEXT, ANY_TEXT, max_size=3),
+        lambda inner: st.dictionaries(ANY_TEXT, inner | ANY_TEXT, max_size=3),
         max_leaves=12))
     def test_any_text_tree_reads_back(self, tree):
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "report.txt"
             cli.write_report(p, tree)
-            assert cli.read_report(p) == tree
+            # a text the report cannot write verbatim is a JSON string, and
+            # JSON reads a high surrogate escape followed by a low one as the
+            # single character they pair into; every other text reads back
+            # as written
+            assert cli.read_report(p) == json.loads(json.dumps(tree))
 
 
 class TestRunPipeline:
@@ -641,6 +656,20 @@ class TestConfigKeys:
         # the report was written
         body = {"mode": "solve", **STDMA_8, "family": "\ud800"}
         assert_config_error(*run_config(tmp_path, "solve", body))
+
+    @pytest.mark.parametrize("mode, body", [("selftest", {"seed": 0}),
+                                            ("manufacture", STDMA_8)], ids=["report", "dump"])
+    def test_output_path_too_long_for_its_files_exits_two(self, tmp_path, capsys, mode, body):
+        # mkdir accepted a directory whose path leaves no room for a file
+        # name, and writing report.txt or a dump into it raised OSError
+        # (file name too long): a traceback and exit 1
+        limit = os.pathconf(tmp_path, "PC_PATH_MAX")
+        out = str(tmp_path)
+        while len(out) < limit - 6:
+            out += "/" + "d" * min(200, limit - 7 - len(out))
+        cfg = write_config(tmp_path / "cfg.json", mode=mode, out=out, **body)
+        assert cli.main([mode, "--config", cfg]) == 2
+        assert capsys.readouterr().err.count("config error") == 1
 
     def test_nul_in_out_exits_two(self, tmp_path, monkeypatch):
         # an embedded NUL escaped from mkdir as a ValueError traceback

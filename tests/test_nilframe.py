@@ -46,6 +46,14 @@ class TestStructures:
             nf.lagrangian_coframe_xx(grid2, 1.3, 0.8, 0.5, -0.7, sign=s).validate()
             nf.lagrangian_coframe_xy(grid2, 1.3, 0.8, 0.5, 0.3, -0.7, sign=s).validate()
 
+    def test_missing_j_row_fails_validation(self, grid3):
+        # J^2 was checked only on the images J has, so a coframe index whose
+        # row is missing passed the J^2 check
+        st = kt3(grid3)
+        st.j_table = {i: row for i, row in st.j_table.items() if i != 3}
+        with pytest.raises(AssertionError, match=r"J\^2 != -1"):
+            st.validate()
+
     def test_bundle_structure_valid(self):
         g = TorusGrid((8, 8, 8, 8))
         nf.nil_bundle(g, 3, ("e1", "e2", "e3", "f1")).validate()
@@ -152,6 +160,68 @@ class TestWedge:
         st_b = kt3(TorusGrid((16, 16, 32)))
         with pytest.raises(ValueError):
             nf.wedge(st_a.omega, st_b.omega)
+
+
+class TestSignedSum:
+    def test_sign_is_the_parity_of_every_permutation(self):
+        for n in range(6):
+            for perm in itertools.permutations(range(n)):
+                assert nf._permutation_sign(perm) == permutation_sign(perm)
+                # only the order of the labels matters, not their values
+                spread = tuple(3 * p + 1 for p in perm)
+                assert nf._permutation_sign(spread) == permutation_sign(perm)
+
+    def test_repeated_index_contributes_nothing(self, grid3):
+        class Unmultipliable:
+            def __mul__(self, other):
+                raise AssertionError("factors of a repeated index were multiplied")
+
+        st = kt3(grid3)
+        for n in range(2, 5):
+            for idx in itertools.product(range(4), repeat=n):
+                if len(set(idx)) < n:
+                    assert nf._permutation_sign(idx) == 0
+                    out = nf._signed_sum(st, n, [(idx, (Unmultipliable(), 2.0))])
+                    assert out.terms == {}
+
+    def test_sorts_signs_and_sums_in_order(self, grid3, rng):
+        st = kt3(grid3)
+        q = random_trig_field(grid3, rng, max_mode=2, scale=1.0).values
+        # (2, 0, 1) is an even permutation, (3, 1, 0) and (1, 0, 2) odd ones
+        out = nf._signed_sum(st, 3, [((2, 0, 1), (q,)), ((3, 1, 0), (5.0,)),
+                                     ((1, 0, 2), (q, 2.0))])
+        assert list(out.terms) == [(0, 1, 2), (0, 1, 3)]
+        assert out.terms[(0, 1, 2)].tobytes() == (q + -(q * 2.0)).tobytes()
+        assert out.terms[(0, 1, 3)] == -5.0
+        # a single factor with a positive sign is stored as it is, not copied
+        assert nf._signed_sum(st, 1, [((0,), (q,))]).terms[(0,)] is q
+        # terms that cancel are pruned
+        assert nf._signed_sum(st, 2, [((0, 1), (q,)), ((1, 0), (q,))]).terms == {}
+
+    def test_operations_build_no_form_per_term(self, monkeypatch, grid3, rng):
+        # exterior_derivative, j_conjugate, apply_J and scalar_differential
+        # go through the accumulator: no wedge, form_add or form_scale, and
+        # only the accumulator's two forms per call
+        h = random_trig_field(grid3, rng, max_mode=2, scale=0.4, axes=(0, 2))
+        st = kt3(grid3, warp=h)
+        u = random_trig_field(grid3, rng, max_mode=2, scale=1.0)
+        one, two = random_form(st, 1, rng), random_form(st, 2, rng)
+        for name in ("wedge", "form_add", "form_scale"):
+            def refuse(*args, _name=name):
+                raise AssertionError(f"{_name} called")
+            monkeypatch.setattr(nf, name, refuse)
+        built = []
+        monkeypatch.setattr(nf.InvariantForm, "__post_init__", lambda self: built.append(1))
+        for op in (lambda: nf.exterior_derivative(one), lambda: nf.exterior_derivative(two),
+                   lambda: nf.j_conjugate(two), lambda: nf.apply_J(one),
+                   lambda: nf.scalar_differential(st, u)):
+            built.clear()
+            op()
+            assert len(built) == 2
+        # validate: two per coframe index, omega, and two for its J-invariance
+        built.clear()
+        st.validate()
+        assert len(built) == 2 * st.rank + 3
 
 
 class TestExteriorDerivative:
