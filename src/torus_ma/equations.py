@@ -25,9 +25,11 @@ from . import nilframe as nf
 from .grid import (
     ScalarField,
     TorusGrid,
+    _unchecked_field,
     derivative,
     integrate,
     mixed_derivative,
+    require_finite,
     resample,
 )
 
@@ -139,6 +141,9 @@ class EquationSpec:
 
 
 def _check_grid(spec: EquationSpec, u: ScalarField) -> None:
+    """Reject a field that is not on the family's torus or holds a
+    non-finite value: the check at every public entry point."""
+    require_finite(u)
     if u.grid.d != spec.dim:
         raise ValueError(f"{spec.family.value} lives on a {spec.dim}-torus, "
                          f"got a {u.grid.d}-d field")
@@ -224,7 +229,7 @@ class _Features(dict):
     def __missing__(self, key):
         if key[0] == "div":
             _, a, sign = key
-            flux = ScalarField(self.u.grid, self.spec._exp_h[sign] * self[(a,)])
+            flux = _unchecked_field(self.u.grid, self.spec._exp_h[sign] * self[(a,)])
             val = derivative(flux, a, 1).values
         elif len(key) == 1:
             val = derivative(self.u, key[0], 1).values
@@ -461,7 +466,7 @@ def linearizer(spec: EquationSpec, u: ScalarField, dealias: bool = False):
         vals = np.zeros(u.grid.sizes)
         for k, g in zip(keys, weights):
             vals += g * fw[k]
-        return ScalarField(u.grid, vals)
+        return _unchecked_field(u.grid, vals)
 
     return apply
 
@@ -469,6 +474,7 @@ def linearizer(spec: EquationSpec, u: ScalarField, dealias: bool = False):
 def linearize_apply(spec: EquationSpec, u: ScalarField, w: ScalarField) -> ScalarField:
     if not u.grid.compatible(w.grid):
         raise ValueError("u and w must share one grid")
+    require_finite(w)
     return linearizer(spec, u)(w)
 
 

@@ -4,6 +4,12 @@ All fields live on [0,1)^d sampled at N_i equispaced points per axis.
 Differentiation, quadrature and the shifted-Laplacian inverse are exact for
 trigonometric polynomials resolved by the grid.  Values are float64 arrays in
 row-major axis order; instances are treated as immutable after construction.
+
+Every field is real, so its spectrum is stored on the half spectrum of the
+last axis (`np.fft.rfftn`), and every spectral symbol has that shape.  Values
+are checked for finiteness where they enter: the public `ScalarField`
+constructor, and the public entry points of `equations`, `solver` and
+`verify`.  Fields computed from fields already on a grid are built unchecked.
 """
 
 from __future__ import annotations
@@ -54,11 +60,13 @@ class TorusGrid:
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
     def wavenumbers(self, axis: int) -> np.ndarray:
-        """Integer mode numbers along `axis`, shaped for broadcasting."""
+        """Integer mode numbers along `axis` on the half spectrum, shaped for
+        broadcasting: the last axis holds only the modes 0..N/2."""
         n = self.sizes[axis]
-        m = np.fft.fftfreq(n, d=1.0 / n)
+        freq = np.fft.rfftfreq if axis == self.d - 1 else np.fft.fftfreq
+        m = freq(n, d=1.0 / n)
         shape = [1] * self.d
-        shape[axis] = n
+        shape[axis] = m.size
         return m.reshape(shape)
 
     @cached_property
@@ -94,14 +102,15 @@ class TorusGrid:
         return self._cached_symbol((axis, order), build)
 
     def shifted_laplacian_symbol(self, sigma: float) -> np.ndarray:
-        """Read-only Fourier symbol of sigma*I - Laplacian on the full grid."""
+        """Read-only Fourier symbol of sigma*I - Laplacian on the half spectrum."""
         sigma = float(sigma)
 
         def build():
+            # the axis multipliers broadcast to the whole half spectrum
             denom = sigma
             for axis in range(self.d):
                 denom = denom - self.multiplier(axis, 2)
-            return np.broadcast_to(denom, self.sizes).copy()
+            return denom
 
         return self._cached_symbol(("shifted_laplacian", sigma), build)
 
@@ -113,9 +122,10 @@ class TorusGrid:
 class ScalarField:
     """Real periodic function sampled on a TorusGrid.
 
-    The spectral cache is the exact discrete Fourier transform of `values`;
-    it is computed lazily and must never be read after mutating `values`
-    (fields are immutable by convention).
+    The spectral cache is the exact discrete Fourier transform of `values` on
+    the half spectrum of the last axis; it is computed lazily and must never
+    be read after mutating `values` (fields are immutable by convention).
+    The constructor rejects non-finite values.
     """
 
     grid: TorusGrid
@@ -123,21 +133,43 @@ class ScalarField:
     _hat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.sizes:
-            v = np.broadcast_to(v, self.grid.sizes).copy()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        self.values = v
+        self.values = _grid_values(self.grid, self.values)
+        require_finite(self)
 
     @property
     def hat(self) -> np.ndarray:
         if self._hat is None:
-            self._hat = np.fft.fftn(self.values)
+            self._hat = np.fft.rfftn(self.values)
         return self._hat
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def _grid_values(grid: TorusGrid, values) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    return v if v.shape == grid.sizes else np.broadcast_to(v, grid.sizes).copy()
+
+
+def require_finite(*fields: ScalarField) -> None:
+    """Reject fields holding a non-finite value: the check at every place
+    where values enter, since computed fields are built unchecked."""
+    for f in fields:
+        if not np.all(np.isfinite(f.values)):
+            raise ValueError("field values must be finite")
+
+
+def _unchecked_field(grid: TorusGrid, values) -> ScalarField:
+    """A field computed from fields already on the grid, built without the
+    finite check of the public constructor: the inner loops' constructor."""
+    f = object.__new__(ScalarField)
+    f.grid, f.values, f._hat = grid, _grid_values(grid, values), None
+    return f
+
+
+def _from_spectrum(grid: TorusGrid, hat: np.ndarray) -> ScalarField:
+    """The real field whose half spectrum is `hat`: the one inverse transform."""
+    return _unchecked_field(grid, np.fft.irfftn(hat, s=grid.sizes, axes=tuple(range(grid.d))))
 
 
 def from_function(grid: TorusGrid, fn) -> ScalarField:
@@ -152,8 +184,7 @@ def constant(grid: TorusGrid, value: float) -> ScalarField:
 
 def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     """Spectral derivative along one axis; exact for resolved trig polynomials."""
-    mult = f.grid.multiplier(axis, order)
-    return ScalarField(f.grid, np.real(np.fft.ifftn(f.hat * mult)))
+    return _from_spectrum(f.grid, f.hat * f.grid.multiplier(axis, order))
 
 
 def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
@@ -165,7 +196,7 @@ def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
     if axis_a == axis_b:
         return derivative(f, axis_a, 2)
     mult = f.grid.multiplier(axis_a, 1) * f.grid.multiplier(axis_b, 1)
-    return ScalarField(f.grid, np.real(np.fft.ifftn(f.hat * mult)))
+    return _from_spectrum(f.grid, f.hat * mult)
 
 
 def integrate(f: ScalarField) -> float:
@@ -174,15 +205,14 @@ def integrate(f: ScalarField) -> float:
 
 
 def project_mean_zero(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.values - np.mean(f.values))
+    return _unchecked_field(f.grid, f.values - np.mean(f.values))
 
 
 def invert_shifted_laplacian(r: ScalarField, sigma: float) -> ScalarField:
     """Solve (sigma*I - Laplacian) w = r diagonally in spectral space."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    w = np.real(np.fft.ifftn(r.hat / r.grid.shifted_laplacian_symbol(sigma)))
-    return ScalarField(r.grid, w)
+    return _from_spectrum(r.grid, r.hat / r.grid.shifted_laplacian_symbol(sigma))
 
 
 def _pad_axis(hat: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:
@@ -216,17 +246,20 @@ def _pad_axis(hat: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:
 
 
 def resample(f: ScalarField, sizes: tuple[int, ...]) -> ScalarField:
-    """Spectral interpolation/truncation onto a grid with different sizes."""
+    """Spectral interpolation/truncation onto a grid with different sizes.
+
+    Works on the full spectrum of f, so that `_pad_axis` splits and folds
+    the Nyquist bin of every axis alike."""
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) != f.grid.d:
         raise ValueError("resample cannot change dimension")
-    hat = f.hat.copy()
+    hat = np.fft.fftn(f.values)
     for axis in range(f.grid.d):
         if f.grid.sizes[axis] != sizes[axis]:
             hat = _pad_axis(hat, axis, f.grid.sizes[axis], sizes[axis])
     scale = np.prod(sizes) / f.grid.npoints
     new_grid = TorusGrid(sizes, max_points=f.grid.max_points)
-    return ScalarField(new_grid, np.real(np.fft.ifftn(hat)) * scale)
+    return _unchecked_field(new_grid, np.real(np.fft.ifftn(hat)) * scale)
 
 
 def random_trig_field(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid, derivative
+from .grid import ScalarField, TorusGrid, _unchecked_field, derivative
 
 
 def _permutation_sign(idx: tuple[int, ...]) -> int:
@@ -198,7 +198,7 @@ def exterior_derivative(a: InvariantForm) -> InvariantForm:
     def contributions():
         for I, c in a.terms.items():
             if isinstance(c, np.ndarray):
-                yield from _coefficient_differential(st, ScalarField(st.grid, c), I)
+                yield from _coefficient_differential(st, _unchecked_field(st.grid, c), I)
             # c * d(theta_I) term by term via Leibniz: d passes pos 1-forms
             # to reach theta_I[pos], and the 2-form d(theta_I[pos]) commutes
             for pos, lab in enumerate(I):
@@ -214,7 +214,7 @@ def scalar_differential(structure: NilStructure, u: ScalarField) -> InvariantFor
     if not structure.grid.compatible(u.grid):
         raise ValueError("scalar lives on a different grid than the structure")
     return _signed_sum(structure, 1, _coefficient_differential(
-        structure, ScalarField(u.grid, u.values)))
+        structure, _unchecked_field(u.grid, u.values)))
 
 
 def apply_J(a: InvariantForm) -> InvariantForm:
@@ -277,20 +277,33 @@ def ansatz_correction(u: ScalarField, structure: NilStructure) -> InvariantForm:
                                         for coeff, label in structure.correction})
 
 
-def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:
-    """The scalar-potential 1-form alpha = -J du + a(u)."""
-    du = scalar_differential(structure, u)
+def correction_differential(u: ScalarField, du: InvariantForm) -> InvariantForm:
+    """d a(u) from du, with no transform: a(u) = u * theta_c for the constant
+    1-form theta_c = sum of the correction terms, so by the Leibniz rule
+    d a(u) = du ^ theta_c + u * d theta_c."""
+    st = du.structure
+    theta_c = InvariantForm(st, 1, {(label,): coeff for coeff, label in st.correction})
+    return form_add(wedge(du, theta_c), form_scale(exterior_derivative(theta_c), u.values)).prune()
+
+
+def ansatz_one_form(u: ScalarField, structure: NilStructure,
+                    du: InvariantForm | None = None) -> InvariantForm:
+    """The scalar-potential 1-form alpha = -J du + a(u); `du` is taken from
+    u unless the caller has it already."""
+    if du is None:
+        du = scalar_differential(structure, u)
     return form_add(form_scale(apply_J(du), -1.0), ansatz_correction(u, structure)).prune()
 
 
-def ansatz_forms(u: ScalarField, structure: NilStructure) -> tuple[InvariantForm, InvariantForm]:
+def ansatz_forms(u: ScalarField, structure: NilStructure,
+                 du: InvariantForm | None = None) -> tuple[InvariantForm, InvariantForm]:
     """(omega + d alpha, d alpha) for the ansatz one-form alpha of u.
 
     The updated form and its update share one exterior derivative, so a
     caller that needs both (type split, top-form ratio, compatibility,
     potential defect) takes d alpha once.
     """
-    d_alpha = exterior_derivative(ansatz_one_form(u, structure))
+    d_alpha = exterior_derivative(ansatz_one_form(u, structure, du))
     return form_add(structure.omega, d_alpha), d_alpha
 
 

@@ -37,10 +37,12 @@ from .equations import (
 from .grid import (
     ScalarField,
     _pad_axis,
+    _unchecked_field,
     derivative,
     integrate,
     invert_shifted_laplacian,
     project_mean_zero,
+    require_finite,
 )
 
 
@@ -189,12 +191,12 @@ def _linear_solve(L, grid, rhs_field, rhs_mean, cfg, rtol):
     def matvec(x):
         nonlocal applies
         applies += 1
-        w = ScalarField(grid, x[:npts].reshape(shape))
+        w = _unchecked_field(grid, x[:npts].reshape(shape))
         out = L(w).values.ravel() - x[npts]
         return np.concatenate([out, [float(np.mean(x[:npts]))]])
 
     def precond(x):
-        f = invert_shifted_laplacian(ScalarField(grid, x[:npts].reshape(shape)), cfg.sigma)
+        f = invert_shifted_laplacian(_unchecked_field(grid, x[:npts].reshape(shape)), cfg.sigma)
         return np.concatenate([f.values.ravel(), [x[npts]]])
 
     A = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=float)
@@ -226,7 +228,11 @@ def newton_solve(
     the line search is cutting deeper instead of relaxing towards the full
     step, and the caller does better with a shorter continuation step than
     with more Newton steps (Deuflhard 2004, ch. 5).
+
+    Every trial is built through the checked `ScalarField` constructor, so a
+    non-finite Krylov step raises ValueError.
     """
+    require_finite(G, u0)
     if abs(integrate(u0)) > 1e-8:
         raise ValueError("u0 must be mean-zero")
     u = project_mean_zero(u0)
@@ -323,6 +329,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
     compatibility integral is necessary for the volume-preserving families,
     so an unnormalized datum is rejected.
     """
+    require_finite(F)
     mass = integrate(ScalarField(F.grid, np.exp(F.values)))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"datum is not normalized: integral of e^F is {mass:.8f}")

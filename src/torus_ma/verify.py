@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nilframe as nf
 from .equations import EquationSpec, branch_sign, min_eigenvalue, structure_for, symmetric_part
-from .grid import ScalarField, integrate
+from .grid import ScalarField, integrate, require_finite
 
 
 @dataclass
@@ -41,6 +41,7 @@ def reconstruct_form(
     structure: nf.NilStructure | None = None,
 ) -> nf.InvariantForm:
     """omega + d(alpha(u)) on the family's coframe structure."""
+    require_finite(u)
     st = structure if structure is not None else structure_for(spec, u.grid)
     return nf.ansatz_forms(u, st)[0]
 
@@ -63,10 +64,13 @@ def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
     return min_eigenvalue(symmetric_part(WJ, st.rank, sign))
 
 
-def _potential_defect(u: ScalarField, w: nf.InvariantForm) -> float:
-    st = w.structure
-    da_w = nf.wedge(nf.exterior_derivative(nf.ansatz_correction(u, st)), w)
-    return da_w.max_norm() / max(nf.wedge(st.omega, st.omega).max_norm(), 1.0)
+def _forms_and_potential_defect(u: ScalarField, st: nf.NilStructure):
+    """(w, d alpha) of `ansatz_forms` and the potential defect, all from one
+    du, which is dropped before the caller goes on."""
+    du = nf.scalar_differential(st, u)
+    w, d_alpha = nf.ansatz_forms(u, st, du)
+    da_w = nf.wedge(nf.correction_differential(u, du), w)
+    return w, d_alpha, da_w.max_norm() / max(nf.wedge(st.omega, st.omega).max_norm(), 1.0)
 
 
 def potential_defect(
@@ -77,7 +81,9 @@ def potential_defect(
     """Max coefficient of d(a) ^ w relative to omega^2, where a is the ansatz
     correction (the part of alpha beyond -J du); zero exactly when u is a
     potential for the reconstructed form."""
-    return _potential_defect(u, reconstruct_form(u, spec, structure))
+    require_finite(u)
+    st = structure if structure is not None else structure_for(spec, u.grid)
+    return _forms_and_potential_defect(u, st)[2]
 
 
 def verify_solution(
@@ -95,16 +101,15 @@ def verify_solution(
     """
     if not u.grid.compatible(F.grid):
         raise ValueError("u and F must share one grid")
-    st = structure_for(spec, u.grid)
-    w, d_alpha = nf.ansatz_forms(u, st)
+    require_finite(u, F)
+    w, d_alpha, pot = _forms_and_potential_defect(u, structure_for(spec, u.grid))
     _, anti = nf.type_split(d_alpha)
     anti_norm = anti.max_norm()
 
-    ratio = nf.top_form_ratio(w, st)
+    ratio = nf.top_form_ratio(w)
     topform = float(np.max(np.abs(ratio.values - np.exp(F.values))))
     volume = abs(integrate(ratio) - 1.0)
     margin = compatibility_margin(w, sign=branch_sign(spec))
-    pot = _potential_defect(u, w)
     passed = bool(anti_norm <= tol and topform <= tol and volume <= tol and margin > 0.0)
     return VerificationReport(
         anti_invariant_norm=anti_norm,

@@ -26,6 +26,24 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
 
 
+def count_transforms(monkeypatch):
+    """Count the calls of each n-D transform of numpy.fft from here on, until
+    `monkeypatch.undo()`; returns the live {name: calls} dict."""
+    counts = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    return counts
+
+
 def permutation_sign(perm):
     """Brute-force parity oracle: sign of the permutation given as a sequence."""
     perm = list(perm)

@@ -15,7 +15,7 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import branch_safe_field, rel_err
+from conftest import branch_safe_field, count_transforms, rel_err
 
 
 def all_t2_specs(grid, rng):
@@ -359,21 +359,11 @@ def test_linearizer_takes_each_derivative_once(spec, grid, rng, monkeypatch):
     assert len(set(keys)) == len(keys)
     expected_fwd = 1 + len(divs)
     expected_inv = len(keys) + sum((k[1],) not in keys for k in divs)
-    counts = {"fftn": 0, "ifftn": 0}
-
-    def counted(name):
-        real = getattr(np.fft, name)
-
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        return wrapped
-
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counted(name))
+    counts = count_transforms(monkeypatch)
     L(w)
     monkeypatch.undo()
-    assert counts == {"fftn": expected_fwd, "ifftn": expected_inv}
+    # every transform is real-to-complex: none runs on the full spectrum
+    assert counts == {"rfftn": expected_fwd, "irfftn": expected_inv, "fftn": 0, "ifftn": 0}
 
 
 class TestManufactureAndNormalize:

@@ -108,11 +108,42 @@ class TestDerivative:
         g = TorusGrid((16, 16))
         f = random_trig_field(g, rng, max_mode=4, scale=1.0)
         before = mixed_derivative(f, 0, 1).values
-        for sym in (g.multiplier(0, 1), g.multiplier(1, 2), g.shifted_laplacian_symbol(1.0)):
+        assert g.shifted_laplacian_symbol(1.0).shape == (16, 9)  # the half spectrum
+        for sym in (g.multiplier(0, 1), g.multiplier(1, 1), g.multiplier(1, 2),
+                    g.shifted_laplacian_symbol(1.0)):
             with pytest.raises(ValueError):
                 sym *= 2.0
         assert g.multiplier(0, 1) is g.multiplier(0, 1)
         assert np.array_equal(mixed_derivative(f, 0, 1).values, before)
+
+    @pytest.mark.parametrize("sizes", [(8, 12), (16, 16), (10, 8, 16), (8, 10, 12, 8)])
+    def test_half_spectrum_matches_full_fftn(self, rng, sizes):
+        # reference: the complex transform of the whole grid, with each
+        # odd-order multiplier's Nyquist mode zeroed
+        g = TorusGrid(sizes)
+        f = ScalarField(g, rng.standard_normal(sizes))
+        hat = np.fft.fftn(f.values)
+        k = [np.fft.fftfreq(n, d=1.0 / n).reshape([-1 if a == b else 1 for b in range(g.d)])
+             for a, n in enumerate(sizes)]
+        d1 = [2j * np.pi * k[a] * (np.abs(k[a]) != n // 2) for a, n in enumerate(sizes)]
+        full = lambda mult: np.real(np.fft.ifftn(hat * mult))
+        for a in range(g.d):
+            assert rel_err(derivative(f, a, 1).values, full(d1[a])) <= 1e-14, a
+            assert rel_err(derivative(f, a, 2).values, full(-(2 * np.pi * k[a]) ** 2)) <= 1e-14, a
+            for b in range(a + 1, g.d):
+                assert rel_err(mixed_derivative(f, a, b).values, full(d1[a] * d1[b])) <= 1e-14
+        sigma = 1.5
+        symbol = sigma + sum((2 * np.pi * ka) ** 2 for ka in k)
+        assert rel_err(invert_shifted_laplacian(f, sigma).values, full(1.0 / symbol)) <= 1e-14
+
+    @pytest.mark.parametrize("sizes", [(8, 12), (10, 8, 16)])
+    def test_last_axis_nyquist_mode(self, sizes):
+        # the half spectrum stores the last axis's Nyquist bin once
+        g = TorusGrid(sizes)
+        n = sizes[-1]
+        f = ScalarField(g, (-1.0) ** np.indices(sizes)[-1])
+        assert derivative(f, g.d - 1, 1).max_norm() <= 1e-12
+        assert rel_err(derivative(f, g.d - 1, 2).values, -((np.pi * n) ** 2) * f.values) <= 1e-14
 
     def test_bad_axis_rejected(self):
         g = TorusGrid((8, 8))

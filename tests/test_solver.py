@@ -271,6 +271,15 @@ class TestFailurePaths:
         rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)
         assert rep.status is sv.Status.LINEAR_SOLVE_STALLED
 
+    def test_nonfinite_krylov_step_raises(self, g64, star64, monkeypatch):
+        # the Krylov vectors are unchecked; the trial built from a NaN step
+        # is the first checked field, and it ends the solve
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.manufactured_datum(spec, star64)
+        monkeypatch.setattr(sv, "gmres", lambda A, b, **kw: (np.full(b.shape, np.nan), 0))
+        with pytest.raises(ValueError, match="finite"):
+            sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), sv.SolverConfig())
+
     def test_step_failure_propagates(self, g64, star64):
         # an impossible iteration budget exhausts the step halving
         spec = eq.EquationSpec(eq.Family.STDMA)

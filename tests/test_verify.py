@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -16,7 +17,7 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import branch_safe_field, rel_err
+from conftest import branch_safe_field, count_transforms, rel_err
 
 
 def zero_field(grid):
@@ -207,6 +208,59 @@ class TestPotentialDefect:
         g = TorusGrid((32, 32))
         u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.4)
         assert vf.potential_defect(u, eq.EquationSpec(eq.Family.GENMA)) > 1e-4
+
+    @pytest.mark.parametrize("family, sizes, params", [
+        ("STDMA", (16, 12), {}), ("GENMA", (16, 12), {}),
+        ("LAGR_X2Y1", (16, 12), {"l1": -1.1, "l2": -0.9, "m1": 0.4, "m2": -0.3}),
+        ("WARPED", (16, 12), {"c": 0.7}), ("WARPED_T3", (16, 12, 8), {}),
+        ("NDIM_FULL", (16, 12, 8, 8), {"n": 3}), ("NDIM_B", (16, 12, 8), {"n": 3})])
+    def test_correction_differential_matches_transform(self, rng, family, sizes, params):
+        # d a(u) from du by the Leibniz rule against the exterior derivative
+        # that transforms the correction's coefficients c*u again
+        g = TorusGrid(sizes)
+        if family.startswith("WARPED"):
+            params = {**params, "h": random_trig_field(g, rng, max_mode=2, scale=0.3, axes=(0,))}
+        spec = eq.EquationSpec(family, **params)
+        # the catalog corrects only closed labels; correct every label that
+        # is not closed as well, so that the u * d theta_c term counts too
+        st = eq.structure_for(spec, g)
+        st = dataclasses.replace(st, correction=st.correction + tuple((0.7, k) for k in st.d_table))
+        u = ScalarField(g, rng.standard_normal(g.sizes))
+        want = nf.exterior_derivative(nf.ansatz_correction(u, st))
+        got = nf.correction_differential(u, nf.scalar_differential(st, u))
+        assert set(got.terms) == set(want.terms)
+        for key, c in want.terms.items():
+            assert rel_err(got.coefficient(key), c) <= 1e-14, key
+
+    def test_verify_reuses_the_partials_of_u(self, monkeypatch):
+        # du (1 forward, 2 inverse) and d alpha (3 forward, 6 inverse); d a(u)
+        # comes from du and takes none
+        g = TorusGrid((32, 32))
+        u = from_function(g, lambda x, y: 0.01 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        counts = count_transforms(monkeypatch)
+        vf.verify_solution(u, zero_field(g), eq.EquationSpec(eq.Family.STDMA))
+        monkeypatch.undo()
+        assert counts == {"rfftn": 4, "irfftn": 8, "fftn": 0, "ifftn": 0}
+
+
+def _nonfinite(grid):
+    f = zero_field(grid)
+    f.values[1, 2] = np.nan  # a caller wrote into a checked field
+    return f
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda g, spec, bad: eq.residual(spec, bad), id="residual"),
+    pytest.param(lambda g, spec, bad: sv.continuity_solve(spec, bad, sv.SolverConfig()),
+                 id="continuity_solve"),
+    pytest.param(lambda g, spec, bad: vf.verify_solution(bad, zero_field(g), spec),
+                 id="verify_solution"),
+])
+def test_nonfinite_input_rejected_at_entry(entry):
+    # fields computed inside are built unchecked, so the entry points check
+    g = TorusGrid((16, 16))
+    with pytest.raises(ValueError, match="finite"):
+        entry(g, eq.EquationSpec(eq.Family.STDMA), _nonfinite(g))
 
 
 # ---------------------------------------------------------------------------
