@@ -167,9 +167,21 @@ def _unchecked_field(grid: TorusGrid, values) -> ScalarField:
     return f
 
 
+class _SpectrumField(ScalarField):
+    """A computed field held by its half spectrum: its values, one inverse
+    transform, are formed on first read, so a consumer of `hat` takes none."""
+
+    def __init__(self, grid: TorusGrid, hat: np.ndarray):
+        self.grid, self._hat = grid, hat
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.fft.irfftn(self._hat, s=self.grid.sizes, axes=tuple(range(self.grid.d)))
+
+
 def _from_spectrum(grid: TorusGrid, hat: np.ndarray) -> ScalarField:
-    """The real field whose half spectrum is `hat`: the one inverse transform."""
-    return _unchecked_field(grid, np.fft.irfftn(hat, s=grid.sizes, axes=tuple(range(grid.d))))
+    """The real field whose half spectrum is `hat`, its values formed at once."""
+    return _unchecked_field(grid, _SpectrumField(grid, hat).values)
 
 
 def from_function(grid: TorusGrid, fn) -> ScalarField:
@@ -209,14 +221,14 @@ def project_mean_zero(f: ScalarField) -> ScalarField:
 
 
 def invert_shifted_laplacian(r: ScalarField, sigma: float) -> ScalarField:
-    """Solve (sigma*I - Laplacian) w = r diagonally in spectral space."""
+    """Solve (sigma*I - Laplacian) w = r diagonally; w is held by its half spectrum."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return _from_spectrum(r.grid, r.hat / r.grid.shifted_laplacian_symbol(sigma))
+    return _SpectrumField(r.grid, r.hat / r.grid.shifted_laplacian_symbol(sigma))
 
 
 def _pad_axis(hat: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:
-    """Resize one axis of a full FFT array, splitting/folding the Nyquist bin."""
+    """Resize a full-spectrum axis of an FFT array, splitting/folding the Nyquist bin."""
     if n_new == n_old:
         return hat
     shape = list(hat.shape)
@@ -245,21 +257,33 @@ def _pad_axis(hat: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:
     return out
 
 
+def _pad_last_axis(hat: np.ndarray, n_old: int, n_new: int) -> np.ndarray:
+    """`_pad_axis` on the last axis of a half spectrum.  A fold adds the mode
+    -N/2 to the new Nyquist bin: the conjugate of +N/2 at the negated indices
+    of the other axes."""
+    half = min(n_old, n_new) // 2
+    out = np.zeros(hat.shape[:-1] + (n_new // 2 + 1,), dtype=complex)
+    out[..., :half] = hat[..., :half]
+    nyq, others = hat[..., half], tuple(range(hat.ndim - 1))
+    out[..., half] = nyq / 2.0 if n_new > n_old else nyq + np.conj(np.roll(np.flip(nyq), 1, others))
+    return out
+
+
 def resample(f: ScalarField, sizes: tuple[int, ...]) -> ScalarField:
     """Spectral interpolation/truncation onto a grid with different sizes.
 
-    Works on the full spectrum of f, so that `_pad_axis` splits and folds
-    the Nyquist bin of every axis alike."""
+    Works on the half spectrum of f, splitting and folding the Nyquist bin
+    of every axis alike; the result is held by its half spectrum."""
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) != f.grid.d:
         raise ValueError("resample cannot change dimension")
-    hat = np.fft.fftn(f.values)
-    for axis in range(f.grid.d):
-        if f.grid.sizes[axis] != sizes[axis]:
-            hat = _pad_axis(hat, axis, f.grid.sizes[axis], sizes[axis])
-    scale = np.prod(sizes) / f.grid.npoints
+    hat = f.hat
+    for axis, (n_old, n_new) in enumerate(zip(f.grid.sizes, sizes)):
+        if n_old != n_new:
+            hat = (_pad_last_axis(hat, n_old, n_new) if axis == f.grid.d - 1
+                   else _pad_axis(hat, axis, n_old, n_new))
     new_grid = TorusGrid(sizes, max_points=f.grid.max_points)
-    return _unchecked_field(new_grid, np.real(np.fft.ifftn(hat)) * scale)
+    return _SpectrumField(new_grid, hat * (new_grid.npoints / f.grid.npoints))
 
 
 def random_trig_field(

@@ -5,8 +5,8 @@ log(t e^F + 1 - t) from t = 0 (where u = 0 is an exact solution) to t = 1,
 with a damped Newton corrector at every node.  Each Newton step solves the
 linearized equation augmented by an auxiliary constant b and the mean-zero
 gauge, through a preconditioned Krylov iteration: the operator is
-nonsymmetric whenever first-order terms are present, so GMRES is used with
-the shifted-Laplacian inverse as preconditioner.
+nonsymmetric whenever first-order terms are present, so restarted GMRES is
+used, right-preconditioned by the shifted-Laplacian inverse.
 
 The auxiliary constant makes the discrete system square without assuming the
 interpolated right-hand side stays compatible; |b| at convergence is itself
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field, fields
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .equations import (
     EquationSpec,
@@ -175,41 +174,78 @@ def _target_log_rhs(spec: EquationSpec, F: ScalarField, t: float) -> ScalarField
     return ScalarField(F.grid, G.values + datum_log_weight(spec))
 
 
-def _linear_solve(L, grid, rhs_field, rhs_mean, cfg, rtol):
-    """Solve [L(w) - b ; mean(w)] = [rhs_field ; rhs_mean] by GMRES.
+def gmres(AM, b, M, rtol, restart, maxiter):
+    """Restarted GMRES, right-preconditioned: (A M) y = b and x = M y (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869; Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., sec. 9.3.2).
 
-    Returns the step, the achieved true relative residual (measured directly,
-    since restarted GMRES can report stagnation for directions that are in
-    fact accurate), the smallest-singular-value witness |rhs| / |x|, the
-    GMRES `info` (nonzero when the solve hit its cap) and the number of
-    operator applies, the true-residual check included.
+    `AM` applies A M to a Krylov vector; `M` forms x once, from the final y.
+    Arnoldi runs by modified Gram-Schmidt and the least-squares problem by
+    Givens rotations, whose residual is the true ||b - A x||.  Each cycle of
+    at most `restart` steps starts from the true residual.  Returns (x, info):
+    info is 0 once ||b - A x|| <= rtol ||b||, else the `maxiter` steps taken.
     """
-    npts = grid.npoints
-    shape = grid.sizes
+    y, r, beta, steps = np.zeros_like(b), b, np.linalg.norm(b), 0
+    tol = rtol * beta
+    while beta > tol and steps < maxiter:
+        m = min(restart, maxiter - steps)
+        V, H = np.zeros((m + 1, b.size)), np.zeros((m, m))
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        V[0], g[0] = r / beta, beta
+        for j in range(m):
+            w = AM(V[j])
+            steps += 1
+            for i in range(j + 1):
+                H[i, j] = V[i] @ w
+                w = w - H[i, j] * V[i]
+            h = np.linalg.norm(w)
+            V[j + 1] = w / h if h > 0 else w  # h = 0: a happy breakdown, g[j + 1] = 0
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            den = math.hypot(H[j, j], h)
+            cs[j], sn[j], H[j, j] = H[j, j] / den, h / den, den
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            if abs(g[j + 1]) <= tol:
+                break
+        y += V[:j + 1].T @ np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1])
+        beta = abs(g[j + 1])
+        if beta > tol and steps < maxiter:
+            r = b - AM(y)
+            beta = np.linalg.norm(r)
+    return (M(y) if steps else y), (0 if beta <= tol else steps)
+
+
+def _linear_solve(L, grid, rhs_field, rhs_mean, cfg, rtol):
+    """Solve [L(w) - b ; mean(w)] = [rhs_field ; rhs_mean] by `gmres`, right-
+    preconditioned by the shifted-Laplacian inverse of the field part, which
+    L reads as its half spectrum; the gauge row takes mean(w) from its zero
+    mode.  Returns the step, the relative residual (at most rtol when GMRES
+    converged, measured with one more apply when it hit cfg.lin_maxiter
+    Arnoldi steps), the smallest-singular-value witness |rhs| / |x|, the GMRES
+    `info` and the number of operator applies.
+    """
+    npts, shape = grid.npoints, grid.sizes
     applies = 0
 
-    def matvec(x):
+    def apply(w, beta):
         nonlocal applies
         applies += 1
-        w = _unchecked_field(grid, x[:npts].reshape(shape))
-        out = L(w).values.ravel() - x[npts]
-        return np.concatenate([out, [float(np.mean(x[:npts]))]])
+        return np.append(L(w).values.ravel() - beta, w.hat.flat[0].real / npts)
 
-    def precond(x):
-        f = invert_shifted_laplacian(_unchecked_field(grid, x[:npts].reshape(shape)), cfg.sigma)
-        return np.concatenate([f.values.ravel(), [x[npts]]])
+    def precond(v):
+        return invert_shifted_laplacian(_unchecked_field(grid, v[:npts].reshape(shape)), cfg.sigma)
 
-    A = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=float)
-    M = LinearOperator((npts + 1, npts + 1), matvec=precond, dtype=float)
-    rhs = np.concatenate([rhs_field.ravel(), [rhs_mean]])
-    outer = max(1, cfg.lin_maxiter // cfg.lin_restart)
-    x, info = gmres(A, rhs, M=M, rtol=rtol, atol=0.0,
-                    restart=cfg.lin_restart, maxiter=outer)
+    rhs = np.append(rhs_field.ravel(), rhs_mean)
+    x, info = gmres(lambda v: apply(precond(v), v[npts]), rhs,
+                    M=lambda v: np.append(precond(v).values.ravel(), v[npts]),
+                    rtol=rtol, restart=cfg.lin_restart, maxiter=cfg.lin_maxiter)
     nrhs = float(np.linalg.norm(rhs))
-    true_rel = float(np.linalg.norm(matvec(x) - rhs)) / nrhs if nrhs > 0 else 0.0
+    achieved = float(np.linalg.norm(apply(_unchecked_field(grid, x[:npts].reshape(shape)), x[npts])
+                                    - rhs)) / nrhs if info else rtol
     nx = float(np.linalg.norm(x))
     witness = nrhs / nx if nx > 0 else float("inf")
-    return x[:npts].reshape(shape), float(x[npts]), true_rel, witness, int(info), applies
+    return x[:npts].reshape(shape), float(x[npts]), achieved, witness, int(info), applies
 
 
 def newton_solve(

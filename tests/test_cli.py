@@ -479,6 +479,17 @@ class TestRunPipeline:
         assert done.returncode == 0, done.stderr
         assert cli.read_report(tmp_path / "run" / "report.txt")["status"] == "Pass"
 
+    def test_import_loads_no_scipy(self, tmp_path):
+        # the Krylov solver is the package's own; SciPy is only a test extra
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, torus_ma.cli\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_config_error_in_run_writes_report(self, tmp_path):
         # a bad dump used to leave an empty output directory
         assert self._solve_dump(tmp_path, b"NOPE" + bytes(32)) == 2

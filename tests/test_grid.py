@@ -7,6 +7,7 @@ from scipy.special import iv
 from torus_ma.grid import (
     ScalarField,
     TorusGrid,
+    _pad_axis,
     constant,
     derivative,
     from_function,
@@ -18,7 +19,7 @@ from torus_ma.grid import (
     resample,
 )
 
-from conftest import rel_err
+from conftest import count_transforms, rel_err
 
 
 class TestGridValidation:
@@ -240,6 +241,25 @@ class TestShiftedLaplacian:
         back = sigma * w.values - (derivative(w, 0, 2).values + derivative(w, 1, 2).values)
         assert np.max(np.abs(back - r.values)) <= 1e-12
 
+    def test_held_by_its_half_spectrum(self, rng, monkeypatch):
+        # the preconditioned field reaches its consumer as a spectrum: reading
+        # hat takes no transform and reading values one inverse, which gives
+        # the values of the eager inverse
+        g = TorusGrid((16, 12, 10))
+        r = ScalarField(g, rng.standard_normal(g.sizes))
+        sigma = 1.5
+        want = np.fft.irfftn(np.fft.rfftn(r.values) / g.shifted_laplacian_symbol(sigma),
+                             s=g.sizes, axes=(0, 1, 2))
+        r.hat
+        counts = count_transforms(monkeypatch)
+        w = invert_shifted_laplacian(r, sigma)
+        w.hat
+        assert counts == {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        vals = w.values
+        monkeypatch.undo()
+        assert counts == {"rfftn": 0, "irfftn": 1, "fftn": 0, "ifftn": 0}
+        assert rel_err(vals, want) <= 1e-14
+
     def test_rejects_nonpositive_shift(self):
         g = TorusGrid((8, 8))
         with pytest.raises(ValueError):
@@ -261,6 +281,21 @@ class TestResample:
         want = from_function(TorusGrid((32, 32)),
                              lambda x, y: np.cos(4 * np.pi * x) * np.sin(2 * np.pi * y))
         assert np.max(np.abs(up.values - want.values)) < 1e-12
+
+    @pytest.mark.parametrize("old, new", [
+        ((8, 12), (16, 20)), ((16, 20), (8, 12)), ((12, 16), (16, 10)), ((16, 10), (8, 16)),
+        ((8, 10, 12), (12, 14, 16)), ((12, 14, 16), (8, 10, 12)), ((8, 16, 10), (12, 8, 14)),
+        ((10, 12, 14), (10, 12, 8)),
+    ])
+    def test_half_spectrum_matches_full_spectrum(self, rng, old, new):
+        # reference: `_pad_axis` on every axis of the complex transform; random
+        # values fill every Nyquist bin, so each split and fold is exercised
+        f = ScalarField(TorusGrid(old), rng.standard_normal(old))
+        hat = np.fft.fftn(f.values)
+        for axis, (n_old, n_new) in enumerate(zip(old, new)):
+            hat = _pad_axis(hat, axis, n_old, n_new)
+        want = np.real(np.fft.ifftn(hat)) * (np.prod(new) / np.prod(old))
+        assert rel_err(resample(f, new).values, want) <= 1e-14
 
     def test_dimension_change_rejected(self):
         g = TorusGrid((16, 16))

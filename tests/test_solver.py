@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +11,14 @@ from torus_ma import solver as sv
 from torus_ma.grid import (
     ScalarField,
     TorusGrid,
+    derivative,
     from_function,
     integrate,
     project_mean_zero,
     random_trig_field,
 )
 
-from conftest import branch_safe_field
+from conftest import branch_safe_field, count_transforms
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +35,118 @@ def star64(g64):
 
 def zero_field(grid):
     return ScalarField(grid, np.zeros(grid.sizes))
+
+
+def _counted(A):
+    """v -> A v as a callable, with the count of its calls."""
+    calls = {"n": 0}
+
+    def AM(v):
+        calls["n"] += 1
+        return A @ v
+    return AM, calls
+
+
+def _identity(v):
+    return v
+
+
+class TestGmres:
+    @pytest.mark.parametrize("jacobi", [False, True], ids=["plain", "jacobi"])
+    def test_dense_system_matches_direct_solve(self, rng, jacobi):
+        # a nonsymmetric, well-conditioned system; with the Jacobi
+        # preconditioner the Krylov vectors live in y, and x = M y
+        n = 40
+        A = np.diag(np.linspace(2.0, 50.0, n)) + 0.05 * rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        M = (lambda v: v / np.diag(A)) if jacobi else _identity
+        x, info = sv.gmres(lambda v: A @ M(v), b, M=M, rtol=1e-12, restart=n, maxiter=n)
+        want = np.linalg.solve(A, b)
+        assert info == 0
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_short_restart_converges_across_cycles(self, rng):
+        n = 60
+        A = np.diag(np.linspace(1.0, 10.0, n)) + 0.05 * rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        full, calls_full = _counted(A)
+        sv.gmres(full, b, M=_identity, rtol=1e-10, restart=n, maxiter=n)
+        AM, calls = _counted(A)
+        x, info = sv.gmres(AM, b, M=_identity, rtol=1e-10, restart=5, maxiter=500)
+        assert calls_full["n"] > 5
+        assert info == 0
+        assert calls["n"] > calls_full["n"]
+        assert np.linalg.norm(A @ x - b) <= 1.01e-10 * np.linalg.norm(b)
+
+    def test_zero_rhs_returns_zeros(self, rng):
+        AM, calls = _counted(rng.standard_normal((8, 8)))
+        x, info = sv.gmres(AM, np.zeros(8), M=_identity, rtol=1e-8, restart=8, maxiter=8)
+        assert info == 0
+        assert calls["n"] == 0
+        assert not x.any()
+
+    @pytest.mark.parametrize("unit", [False, True], ids=["random", "unit"])
+    def test_identity_ends_at_happy_breakdown(self, rng, unit):
+        # a unit vector b makes the breakdown exact (h = 0), a random one
+        # leaves h at roundoff; neither divides by zero
+        b = np.eye(12)[3] if unit else rng.standard_normal(12)
+        AM, calls = _counted(np.eye(12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, info = sv.gmres(AM, b, M=_identity, rtol=1e-12, restart=12, maxiter=12)
+        assert info == 0
+        assert calls["n"] == 1
+        assert np.linalg.norm(x - b) <= 1e-14 * np.linalg.norm(b)
+
+    def test_cap_below_needed_steps_reports_them(self, rng):
+        # 4 + 2 Arnoldi steps and the true residual between the two cycles
+        n = 30
+        AM, calls = _counted(np.diag(np.linspace(1.0, 100.0, n)))
+        x, info = sv.gmres(AM, rng.standard_normal(n), M=_identity, rtol=1e-12,
+                           restart=4, maxiter=6)
+        assert info == 6
+        assert calls["n"] == 7
+
+    @pytest.mark.parametrize("maxiter, restart", [(100, 60), (50, 60)])
+    def test_lin_maxiter_caps_arnoldi_steps(self, rng, maxiter, restart):
+        # lin_maxiter used to allow max(1, lin_maxiter // lin_restart) whole
+        # cycles: 60 Arnoldi steps for both configurations.  A weighted d/dx
+        # is singular, so no solve of a random right-hand side converges
+        g = TorusGrid((16, 16))
+        c = 1.0 + 0.5 * rng.uniform(size=g.sizes)
+
+        def L(w):
+            return ScalarField(g, c * derivative(w, 0).values)
+
+        cfg = sv.SolverConfig(lin_maxiter=maxiter, lin_restart=restart)
+        rhs = rng.standard_normal(g.sizes)
+        _, _, achieved, _, info, applies = sv._linear_solve(L, g, rhs, 0.0, cfg, 1e-12)
+        assert info == maxiter
+        # one true residual per restart, one measuring the capped step
+        assert applies == maxiter + math.ceil(maxiter / restart)
+        assert achieved > 1e-12
+
+    @pytest.mark.parametrize("family", ["STDMA", "DETA_T3", "WARPED"])
+    def test_krylov_apply_takes_one_forward_transform(self, rng, monkeypatch, family):
+        # per apply: one forward transform of the Krylov vector, one inverse
+        # per feature, and each warped divergence flux its own pair; per
+        # solve: one pair forming the step x = M(V y)
+        g = TorusGrid((8, 8, 8) if family == "DETA_T3" else (16, 16))
+        h = from_function(g, lambda x, *_: 0.3 * np.sin(2 * np.pi * x))
+        spec = eq.EquationSpec(family, **({"c": 1.0, "h": h} if family == "WARPED" else {}))
+        L = eq.linearizer(spec, branch_safe_field(g, rng, max_mode=1, hessian_scale=0.2))
+        keys = eq._STATEMENTS[spec.family].features(spec)
+        divs = [k for k in keys if k[0] == "div"]
+        fwd = 1 + len(divs)
+        inv = len(keys) + sum((k[1],) not in keys for k in divs)
+        rhs = random_trig_field(g, rng, max_mode=2).values
+        counts = count_transforms(monkeypatch)
+        *_, info, applies = sv._linear_solve(L, g, rhs, 0.0, sv.SolverConfig(), 1e-6)
+        monkeypatch.undo()
+        assert info == 0
+        assert applies > 1
+        assert counts == {"rfftn": applies * fwd + 1, "irfftn": applies * inv + 1,
+                          "fftn": 0, "ifftn": 0}
 
 
 class TestHomotopyDatum:
@@ -191,6 +307,20 @@ class TestContinuity:
         rep = sv.continuity_solve(spec, F, sv.SolverConfig(dealias=True))
         assert rep.converged
         assert np.max(np.abs(rep.u.values - star64.values)) <= 1e-8
+
+    def test_dealiased_solve_takes_no_complex_transform(self, monkeypatch):
+        # resample moves fields on the half spectrum; it used to take an
+        # fftn/ifftn pair of every field it moved
+        g = TorusGrid((32, 32))
+        u = from_function(g, lambda x, y: 0.01 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, project_mean_zero(u)))
+        counts = count_transforms(monkeypatch)
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig(dealias=True))
+        monkeypatch.undo()
+        assert rep.converged
+        assert counts["rfftn"] > 0
+        assert counts["fftn"] == counts["ifftn"] == 0
 
     def test_warped_final_step_not_capped(self, g64, star64):
         # the last Newton step of a node used to chase lin_rtol past what
