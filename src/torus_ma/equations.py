@@ -209,8 +209,8 @@ def min_eigenvalue(S: list) -> float:
 # one row per family
 # ---------------------------------------------------------------------------
 #
-# A family reads a list of linear spectral features of u and builds from them
-# a pointwise coefficient matrix M; its residual is
+# A family builds a pointwise coefficient matrix M from the linear spectral
+# features of u that it reads; its residual is
 #     P = (det M - correction) / scale.
 # The residual, the linearization, the coefficient matrix and the warped
 # branch minima are all derived from that one statement.  Feature keys:
@@ -219,8 +219,8 @@ def min_eigenvalue(S: list) -> float:
 # parameters, its coframe and its datum weight.
 
 class _Features(dict):
-    """Linear spectral features of one field, each taken on first use; a
-    weighted divergence reuses the u_a that a plain feature also takes."""
+    """Linear spectral features of one field, each taken on first read and
+    kept in read order, the u_a that a weighted divergence reads included."""
 
     def __init__(self, spec: EquationSpec, u: ScalarField):
         super().__init__()
@@ -243,13 +243,12 @@ class _Features(dict):
 class _Statement:
     """One family's row.  axes(n) names its base coordinates in grid-axis
     order, and their count is its dimension; params are the parameters it
-    reads, fixed the values it pins other than the field defaults; features,
-    matrix, correction and scale state its residual; structure(spec, grid) is
-    its coframe; log_weight(spec) is the w with residual = e^w * ratio, for
-    the top-form ratio e^F of the geometric route."""
+    reads, fixed the values it pins other than the field defaults; matrix,
+    correction and scale state its residual; structure(spec, grid) is its
+    coframe; log_weight(spec) is the w with residual = e^w * ratio, for the
+    top-form ratio e^F of the geometric route."""
 
     axes: Callable[[int], tuple[str, ...]]
-    features: Callable[[EquationSpec], tuple]
     matrix: Callable[[EquationSpec, dict], list]
     structure: Callable[[EquationSpec, TorusGrid], nf.NilStructure]
     params: tuple[str, ...] = ()
@@ -261,10 +260,6 @@ class _Statement:
 
 def _numbered(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{k + 1}" for k in range(n))
-
-
-def _hessian_keys(n: int) -> tuple:
-    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 def _hessian_matrix(n: int, f: dict, drift=0.0) -> list:
@@ -309,7 +304,6 @@ def _lagr_x2y1_coframe(s: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
 _lagrangian = partial(
     _Statement,
     axes=lambda n: ("x", "y"),
-    features=lambda s: ((0, 0), (1, 1), (0, 1), (0,), (1,)),
     matrix=lambda s, f: [[s.l1 + f[0, 0], f[0, 1]],
                          [f[0, 1], s.l2 + f[1, 1] + s.m1 * f[(0,)] + s.m2 * f[(1,)]]],
     scale=lambda s: s.l1 * s.l2,
@@ -325,7 +319,6 @@ _STATEMENTS: dict[Family, _Statement] = {
     Family.WARPED: _Statement(
         axes=lambda n: ("x", "y"),
         params=("c", "h"),
-        features=lambda s: (("div", 0, 1), (0,), (1, 1), (0, 1)),
         matrix=lambda s, f: [[s._exp_h[-1] * (1.0 + f["div", 0, 1] + s.c * f[(0,)]), f[0, 1]],
                              [f[0, 1], 1.0 + f[1, 1]]],
         structure=lambda s, g: nf.nil_bundle(g, 2, ("f1", "e2"), twist=s.c,
@@ -334,7 +327,6 @@ _STATEMENTS: dict[Family, _Statement] = {
     ),
     Family.DETA_T3: _Statement(
         axes=lambda n: ("x1", "x2", "y1"),
-        features=lambda s: ((0, 0), (2, 2), (2,), (1, 1), (0, 1), (1, 2)),
         matrix=lambda s, f: [[1.0 + f[0, 0] + f[2, 2] + f[(2,)], f[0, 1]],
                              [f[0, 1], 1.0 + f[1, 1]]],
         correction=lambda s, f, M: f[1, 2] ** 2,
@@ -343,7 +335,6 @@ _STATEMENTS: dict[Family, _Statement] = {
     Family.WARPED_T3: _Statement(
         axes=lambda n: ("x1", "x2", "y1"),
         params=("h",),
-        features=lambda s: (("div", 0, 1), ("div", 2, -1), (2,), (1, 1), (0, 1), (1, 2)),
         matrix=lambda s, f: [[1.0 + f["div", 0, 1] + f["div", 2, -1] + f[(2,)], f[0, 1]],
                              [s._exp_h[1] * f[0, 1], 1.0 + f[1, 1]]],
         correction=lambda s, f, M: s._exp_h[-1] * f[1, 2] ** 2,
@@ -354,8 +345,6 @@ _STATEMENTS: dict[Family, _Statement] = {
         params=("n",),
         # the first diagonal entry carries the fiber-direction second
         # derivative and the drift term
-        features=lambda s: (_hessian_keys(s.n) + ((s.n, s.n), (s.n,))
-                            + tuple((k, s.n) for k in range(1, s.n))),
         matrix=lambda s, f: _hessian_matrix(s.n, f, f[s.n, s.n] + f[(s.n,)]),
         correction=_fiber_correction,
         structure=lambda s, g: nf.nil_bundle(g, s.n, _numbered("e", s.n) + ("f1",)),
@@ -363,14 +352,12 @@ _STATEMENTS: dict[Family, _Statement] = {
     Family.NDIM_HESSIAN: _Statement(
         axes=lambda n: _numbered("x", n),
         params=("n",),
-        features=lambda s: _hessian_keys(s.n),
         matrix=lambda s, f: _hessian_matrix(s.n, f),
         structure=lambda s, g: nf.nil_bundle(g, s.n, _numbered("e", s.n)),
     ),
     Family.NDIM_B: _Statement(
         axes=lambda n: _numbered("z", n),
         params=("n",),
-        features=lambda s: _hessian_keys(s.n) + ((0,),),
         matrix=lambda s, f: _hessian_matrix(s.n, f, f[(0,)]),
         structure=lambda s, g: nf.nil_bundle(g, s.n, ("f1",) + _numbered("e", s.n)[1:]),
     ),
@@ -406,10 +393,7 @@ def residual(spec: EquationSpec, u: ScalarField, dealias: bool = False) -> Scala
     """
     _check_grid(spec, u)
     if dealias:
-        sizes = _padded_sizes(u.grid.sizes)
-        spec_p = spec if spec.h is None else replace(spec, h=resample(spec.h, sizes))
-        r = residual(spec_p, resample(u, sizes), dealias=False)
-        return resample(r, u.grid.sizes)
+        return resample(residual(*_padded(spec, u)), u.grid.sizes)
     return ScalarField(u.grid, _pointwise(spec, _Features(spec, u)))
 
 
@@ -427,44 +411,48 @@ def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, vals)
 
 
-def _padded_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-((-3 * ns) // 2) + (-((-3 * ns) // 2)) % 2 for ns in sizes)
+def _padded(spec: EquationSpec, u: ScalarField) -> tuple[EquationSpec, ScalarField]:
+    """spec and u on the 3/2 zero-padded grid of the dealiased operators."""
+    sizes = tuple((3 * n // 2 + 1) // 2 * 2 for n in u.grid.sizes)
+    spec_p = spec if spec.h is None else replace(spec, h=resample(spec.h, sizes))
+    return spec_p, resample(u, sizes)
 
 
 _COMPLEX_STEP = 1e-30
 
 
+def _feature_weights(spec: EquationSpec, u: ScalarField) -> dict:
+    """The weight g_k = dP/df_k at f(u) of every feature k that the statement
+    reads at u, in read order, zero weights included."""
+    f = _Features(spec, u)
+    _pointwise(spec, f)  # takes every feature it reads, in read order
+    return {k: np.imag(_pointwise(spec, {**f, k: f[k] + 1j * _COMPLEX_STEP})) / _COMPLEX_STEP
+            for k in f}
+
+
 def linearizer(spec: EquationSpec, u: ScalarField, dealias: bool = False):
     """Frechet derivative of residual at u, returned as a closure w -> L(w).
 
-    L(w) = sum_i g_i f_i(w) over the family's features f_i.  The weights
-    g_i = dP/df_i at f(u) are taken once per build by the complex step
-    Im P(f + i*eps*e_i) / eps (Squire & Trapp 1998), exact to roundoff for
-    the polynomial P; per application only the features of w are taken.
-    With `dealias=True` the operator acts on the 3/2 zero-padded grid,
-    consistently with the dealiased residual.
+    L(w) = sum_k g_k f_k(w) over the features f_k that the statement reads
+    at u and whose weight g_k = dP/df_k at f(u) is not zero everywhere.  The
+    weights are taken once per build by the complex step Im P(f + i*eps*e_k)
+    / eps (Squire & Trapp 1998), exact to roundoff for the polynomial P; per
+    application only the features of w are taken.  With `dealias=True` the
+    operator acts on the 3/2 zero-padded grid, consistently with the
+    dealiased residual.
     """
     _check_grid(spec, u)
     if dealias:
-        sizes = _padded_sizes(u.grid.sizes)
-        spec_p = spec if spec.h is None else replace(spec, h=resample(spec.h, sizes))
-        inner = linearizer(spec_p, resample(u, sizes), dealias=False)
+        spec_p, u_p = _padded(spec, u)
+        inner = linearizer(spec_p, u_p)
+        return lambda w: resample(inner(resample(w, u_p.grid.sizes)), u.grid.sizes)
 
-        def apply_padded(w: ScalarField) -> ScalarField:
-            return resample(inner(resample(w, sizes)), u.grid.sizes)
-
-        return apply_padded
-
-    keys = _STATEMENTS[spec.family].features(spec)
-    fu = _Features(spec, u)
-    f = {k: fu[k] for k in keys}
-    weights = [np.imag(_pointwise(spec, {**f, k: f[k] + 1j * _COMPLEX_STEP})) / _COMPLEX_STEP
-               for k in keys]
+    weights = {k: g for k, g in _feature_weights(spec, u).items() if np.any(g)}
 
     def apply(w: ScalarField) -> ScalarField:
         fw = _Features(spec, w)
         vals = np.zeros(u.grid.sizes)
-        for k, g in zip(keys, weights):
+        for k, g in weights.items():
             vals += g * fw[k]
         return _unchecked_field(u.grid, vals)
 

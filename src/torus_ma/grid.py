@@ -179,11 +179,6 @@ class _SpectrumField(ScalarField):
         return np.fft.irfftn(self._hat, s=self.grid.sizes, axes=tuple(range(self.grid.d)))
 
 
-def _from_spectrum(grid: TorusGrid, hat: np.ndarray) -> ScalarField:
-    """The real field whose half spectrum is `hat`, its values formed at once."""
-    return _unchecked_field(grid, _SpectrumField(grid, hat).values)
-
-
 def from_function(grid: TorusGrid, fn) -> ScalarField:
     """Sample a callable of the grid coordinates (broadcast arrays) into a field."""
     vals = fn(*grid.coords)
@@ -195,8 +190,8 @@ def constant(grid: TorusGrid, value: float) -> ScalarField:
 
 
 def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
-    """Spectral derivative along one axis; exact for resolved trig polynomials."""
-    return _from_spectrum(f.grid, f.hat * f.grid.multiplier(axis, order))
+    """Spectral derivative along one axis, held by its half spectrum."""
+    return _SpectrumField(f.grid, f.hat * f.grid.multiplier(axis, order))
 
 
 def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
@@ -208,7 +203,7 @@ def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
     if axis_a == axis_b:
         return derivative(f, axis_a, 2)
     mult = f.grid.multiplier(axis_a, 1) * f.grid.multiplier(axis_b, 1)
-    return _from_spectrum(f.grid, f.hat * mult)
+    return _SpectrumField(f.grid, f.hat * mult)
 
 
 def integrate(f: ScalarField) -> float:

@@ -26,7 +26,6 @@ from .equations import (
     Family,
     branch_sign,
     coefficient_entries,
-    coefficient_matrix,
     datum_log_weight,
     linearizer,
     min_eigenvalue,
@@ -164,9 +163,9 @@ def warped_branch_minima(spec: EquationSpec, u: ScalarField) -> tuple[float, flo
     coefficient matrix M."""
     if spec.family is not Family.WARPED:
         raise ValueError("branch minima are defined for the warped family")
-    M = coefficient_matrix(spec, u)
-    prima = np.exp(spec.h.values) * M[..., 0, 0] - 1.0
-    return float(np.min(prima)), float(np.min(M[..., 1, 1]))
+    M = coefficient_entries(spec, u)
+    prima = np.exp(spec.h.values) * M[0][0] - 1.0
+    return float(np.min(prima)), float(np.min(M[1][1]))
 
 
 def _target_log_rhs(spec: EquationSpec, F: ScalarField, t: float) -> ScalarField:

@@ -44,6 +44,19 @@ def count_transforms(monkeypatch):
     return counts
 
 
+def apply_transforms(spec, u):
+    """(forward, inverse) n-D transforms of one linearization apply at u: one
+    forward transform of w and one inverse per feature whose weight is not
+    zero everywhere, and per weighted divergence (e^{sh} w_a)_a one forward
+    of the weighted product plus one inverse for w_a unless w_a is itself
+    such a feature."""
+    from torus_ma import equations as eq
+
+    keys = [k for k, g in eq._feature_weights(spec, u).items() if np.any(g)]
+    divs = [k for k in keys if k[0] == "div"]
+    return 1 + len(divs), len(keys) + sum((k[1],) not in keys for k in divs)
+
+
 def permutation_sign(perm):
     """Brute-force parity oracle: sign of the permutation given as a sequence."""
     perm = list(perm)

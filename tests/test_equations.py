@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,7 +17,7 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import branch_safe_field, count_transforms, rel_err
+from conftest import apply_transforms, branch_safe_field, count_transforms, rel_err
 
 
 def all_t2_specs(grid, rng):
@@ -346,24 +348,68 @@ def _family_cases():
     return [pytest.param(spec, grid, id=spec.family.value) for spec, grid in cases]
 
 
+# (forward, inverse) transforms of one apply at a generic u: a feature whose
+# weight is zero everywhere (u_x and u_y where m1 = m2 = 0) takes none
+_APPLY_TRANSFORMS = {
+    "STDMA": (1, 3), "GENMA": (1, 4), "LAGR_X1X2": (1, 3), "LAGR_X2Y1": (1, 5),
+    "WARPED": (2, 4), "DETA_T3": (1, 6), "WARPED_T3": (3, 7), "NDIM_FULL": (1, 10),
+    "NDIM_HESSIAN": (1, 6), "NDIM_B": (1, 7),
+}
+
+
 @pytest.mark.parametrize("spec,grid", _family_cases())
 def test_linearizer_takes_each_derivative_once(spec, grid, rng, monkeypatch):
-    # one forward transform of w, one inverse per distinct feature, and per
-    # weighted divergence (e^{sh} w_a)_a one forward of the weighted product
-    # plus one inverse for w_a unless w_a is itself a feature
     u = random_trig_field(grid, rng, max_mode=1, scale=0.05)
     w = random_trig_field(grid, rng, max_mode=1, scale=1.0)
     L = eq.linearizer(spec, u)
-    keys = eq._STATEMENTS[spec.family].features(spec)
-    divs = [k for k in keys if k[0] == "div"]
-    assert len(set(keys)) == len(keys)
-    expected_fwd = 1 + len(divs)
-    expected_inv = len(keys) + sum((k[1],) not in keys for k in divs)
+    expected_fwd, expected_inv = apply_transforms(spec, u)
+    assert (expected_fwd, expected_inv) == _APPLY_TRANSFORMS[spec.family.value]
     counts = count_transforms(monkeypatch)
     L(w)
     monkeypatch.undo()
     # every transform is real-to-complex: none runs on the full spectrum
     assert counts == {"rfftn": expected_fwd, "irfftn": expected_inv, "fftn": 0, "ifftn": 0}
+
+
+@pytest.mark.parametrize("spec,grid", _family_cases())
+@pytest.mark.parametrize("at", ["zero", "random"])
+def test_dropped_zero_weights_change_no_bit(spec, grid, at, rng):
+    # L sums only the features whose weight is not zero everywhere; the sum
+    # over every feature the statement read, zero weights included, is the
+    # same bit for bit
+    u = (ScalarField(grid, np.zeros(grid.sizes)) if at == "zero"
+         else random_trig_field(grid, rng, max_mode=1, scale=0.05))
+    w = random_trig_field(grid, rng, max_mode=2, scale=1.0)
+    weights = eq._feature_weights(spec, u)
+    # at u = 0 every family has an off-diagonal entry whose weight vanishes
+    assert at == "random" or not all(np.any(g) for g in weights.values())
+    fw = eq._Features(spec, w)
+    full = np.zeros(grid.sizes)
+    for k, g in weights.items():
+        full += g * fw[k]
+    assert np.array_equal(eq.linearizer(spec, u)(w).values, full)
+
+
+def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):
+    # a statement whose matrix reads a feature that no hand-kept list named
+    # used to fail with KeyError at the first linearizer build
+    spec = eq.EquationSpec(eq.Family.NDIM_HESSIAN, n=3)
+    g = TorusGrid((8, 8, 8))
+    u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.3)
+    w = random_trig_field(g, rng, max_mode=2, scale=1.0)
+    undrifted = eq.linearizer(spec, u)(w).values
+    row = replace(eq._STATEMENTS[eq.Family.NDIM_HESSIAN],
+                  matrix=lambda s, f: eq._hessian_matrix(s.n, f, f[(0,)]))
+    monkeypatch.setitem(eq._STATEMENTS, eq.Family.NDIM_HESSIAN, row)
+    fu, fw, eps = eq._Features(spec, u), eq._Features(spec, w), 1e-30
+
+    class Stepped(dict):  # the features of u + i*eps*w, by linearity
+        def __missing__(self, key):
+            return fu[key] + 1j * eps * fw[key]
+
+    want = np.imag(eq._pointwise(spec, Stepped())) / eps
+    assert rel_err(undrifted, want) > 1e-3
+    assert rel_err(eq.linearize_apply(spec, u, w).values, want) < 1e-12
 
 
 class TestManufactureAndNormalize:

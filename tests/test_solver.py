@@ -18,7 +18,7 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import branch_safe_field, count_transforms
+from conftest import apply_transforms, branch_safe_field, count_transforms
 
 
 @pytest.fixture(scope="module")
@@ -129,16 +129,15 @@ class TestGmres:
     @pytest.mark.parametrize("family", ["STDMA", "DETA_T3", "WARPED"])
     def test_krylov_apply_takes_one_forward_transform(self, rng, monkeypatch, family):
         # per apply: one forward transform of the Krylov vector, one inverse
-        # per feature, and each warped divergence flux its own pair; per
-        # solve: one pair forming the step x = M(V y)
+        # per feature with a nonzero weight, and each warped divergence flux
+        # its own pair; per solve: one pair forming the step x = M(V y)
         g = TorusGrid((8, 8, 8) if family == "DETA_T3" else (16, 16))
         h = from_function(g, lambda x, *_: 0.3 * np.sin(2 * np.pi * x))
         spec = eq.EquationSpec(family, **({"c": 1.0, "h": h} if family == "WARPED" else {}))
-        L = eq.linearizer(spec, branch_safe_field(g, rng, max_mode=1, hessian_scale=0.2))
-        keys = eq._STATEMENTS[spec.family].features(spec)
-        divs = [k for k in keys if k[0] == "div"]
-        fwd = 1 + len(divs)
-        inv = len(keys) + sum((k[1],) not in keys for k in divs)
+        u = branch_safe_field(g, rng, max_mode=1, hessian_scale=0.2)
+        L = eq.linearizer(spec, u)
+        fwd, inv = apply_transforms(spec, u)
+        assert (fwd, inv) == {"STDMA": (1, 3), "DETA_T3": (1, 6), "WARPED": (2, 4)}[family]
         rhs = random_trig_field(g, rng, max_mode=2).values
         counts = count_transforms(monkeypatch)
         *_, info, applies = sv._linear_solve(L, g, rhs, 0.0, sv.SolverConfig(), 1e-6)
