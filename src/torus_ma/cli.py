@@ -465,9 +465,8 @@ def _selftest(seed: int) -> tuple[dict, bool]:
                 h = random_trig_field(g3, rng, max_mode=1, scale=0.3, axes=(0, 2))
                 spec = eq.EquationSpec(eq.Family.WARPED_T3, h=h)
             st = eq.structure_for(spec, g3)
-            w, da = nf.ansatz_forms(u, st)
-            _, anti = nf.type_split(da)
-            worst_anti = max(worst_anti, anti.max_norm() / max(1.0, da.max_norm()))
+            w, da, _ = nf.ansatz_forms(u, st)
+            worst_anti = max(worst_anti, nf.anti_invariant_norm(da) / max(1.0, da.max_norm()))
             worst_ratio = max(worst_ratio, _rel(
                 nf.top_form_ratio(w, st).values, eq.residual(spec, u).values))
         results[f"{name}_anti_max"] = worst_anti

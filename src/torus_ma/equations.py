@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -186,10 +186,13 @@ def min_eigenvalue(S: list) -> float:
     eigenvalue found at the points of lowest lb."""
     r = len(S)
     shape = np.broadcast_shapes(*(np.shape(x) for row in S for x in row)) or (1,)
-    radius = [sum(abs(S[i][j]) for j in range(r) if j != i) for i in range(r)]
-    lb = np.broadcast_to(reduce(np.minimum, [S[i][i] - radius[i] for i in range(r)]), shape).ravel()
-    diagonal = np.broadcast_to(reduce(np.maximum, radius), shape).ravel() == 0
-    scale = np.max([np.max(abs(S[i][i]) + radius[i]) for i in range(r)])
+    lb, widest, scale = np.inf, 0.0, -np.inf  # folded row by row, in row order
+    for i in range(r):
+        radius = sum(abs(S[i][j]) for j in range(r) if j != i)
+        lb, widest = np.minimum(lb, S[i][i] - radius), np.maximum(widest, radius)
+        scale = np.maximum(scale, np.max(abs(S[i][i]) + radius))
+    lb = np.broadcast_to(lb, shape).ravel()
+    diagonal = np.broadcast_to(widest, shape).ravel() == 0
     slack = 64 * r * r * np.finfo(float).eps * scale
 
     def lowest(points):
@@ -516,5 +519,5 @@ def residual_geom(spec: EquationSpec, u: ScalarField) -> ScalarField:
     rebuild omega + d(alpha), expand its top wedge power and weight it."""
     _check_grid(spec, u)
     st = structure_for(spec, u.grid)
-    w, _ = nf.ansatz_forms(u, st)
+    w = nf.ansatz_forms(u, st)[0]
     return ScalarField(u.grid, np.exp(datum_log_weight(spec)) * nf.top_form_ratio(w, st).values)

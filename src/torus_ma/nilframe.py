@@ -16,6 +16,7 @@ of every product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -199,13 +200,17 @@ def exterior_derivative(a: InvariantForm) -> InvariantForm:
         for I, c in a.terms.items():
             if isinstance(c, np.ndarray):
                 yield from _coefficient_differential(st, _unchecked_field(st.grid, c), I)
-            # c * d(theta_I) term by term via Leibniz: d passes pos 1-forms
-            # to reach theta_I[pos], and the 2-form d(theta_I[pos]) commutes
-            for pos, lab in enumerate(I):
-                for pair, v in st.d_table.get(lab, {}).items():
-                    yield pair + I[:pos] + I[pos + 1:], (-v if pos % 2 else v, c)
+            yield from _structure_terms(st, I, c)
 
     return _signed_sum(st, a.degree + 1, contributions())
+
+
+def _structure_terms(st: NilStructure, I: tuple[int, ...], c):
+    """c * d(theta_I) as contributions, term by term via Leibniz: d passes
+    pos 1-forms to reach theta_I[pos], and the 2-form d(theta_I[pos]) commutes."""
+    for pos, lab in enumerate(I):
+        for pair, v in st.d_table.get(lab, {}).items():
+            yield pair + I[:pos] + I[pos + 1:], (-v if pos % 2 else v, c)
 
 
 def scalar_differential(structure: NilStructure, u: ScalarField) -> InvariantForm:
@@ -248,6 +253,14 @@ def type_split(a: InvariantForm) -> tuple[InvariantForm, InvariantForm]:
     return inv, anti
 
 
+def anti_invariant_norm(a: InvariantForm) -> float:
+    """Max coefficient of (a - J a) / 2, the anti-invariant part of a 2-form,
+    taken key by key from a and J a: neither part of `type_split` is formed."""
+    ja = j_conjugate(a).terms
+    return max((0.5 * float(np.max(np.abs(a.terms.get(k, 0.0) - ja.get(k, 0.0))))
+                for k in a.terms.keys() | ja.keys()), default=0.0)
+
+
 def top_form_ratio(w: InvariantForm, structure: NilStructure | None = None) -> ScalarField:
     """Scalar r with w^n = r * omega^n, by exact expansion of the wedge powers."""
     st = structure or w.structure
@@ -286,25 +299,47 @@ def correction_differential(u: ScalarField, du: InvariantForm) -> InvariantForm:
     return form_add(wedge(du, theta_c), form_scale(exterior_derivative(theta_c), u.values)).prune()
 
 
-def ansatz_one_form(u: ScalarField, structure: NilStructure,
-                    du: InvariantForm | None = None) -> InvariantForm:
-    """The scalar-potential 1-form alpha = -J du + a(u); `du` is taken from
-    u unless the caller has it already."""
-    if du is None:
-        du = scalar_differential(structure, u)
+def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:
+    """The scalar-potential 1-form alpha = -J du + a(u)."""
+    du = scalar_differential(structure, u)
     return form_add(form_scale(apply_J(du), -1.0), ansatz_correction(u, structure)).prune()
 
 
-def ansatz_forms(u: ScalarField, structure: NilStructure,
-                 du: InvariantForm | None = None) -> tuple[InvariantForm, InvariantForm]:
-    """(omega + d alpha, d alpha) for the ansatz one-form alpha of u.
+def ansatz_forms(u: ScalarField, structure: NilStructure
+                 ) -> tuple[InvariantForm, InvariantForm, InvariantForm]:
+    """(omega + d alpha, d alpha, d a(u)) for alpha = -J du + a(u), from one
+    spectral jet of u.  With beta_a = -J(dx^a), d(-J du) is the sum over a of
+    (sum_b u_ab dx^b) ^ beta_a + u_a d beta_a, whose second terms are the
+    structure terms of -J du, and d a(u) is `correction_differential`.  A
+    field entry k of J (the warped e^{+-h} pair) has no Leibniz rule on the
+    grid: u_a k is differentiated as one coefficient, as `exterior_derivative`
+    does."""
+    st = structure
+    if not st.grid.compatible(u.grid):
+        raise ValueError("scalar lives on a different grid than the structure")
+    fu = _unchecked_field(u.grid, u.values)
 
-    The updated form and its update share one exterior derivative, so a
-    caller that needs both (type split, top-form ratio, compatibility,
-    potential defect) takes d alpha once.
-    """
-    d_alpha = exterior_derivative(ansatz_one_form(u, structure, du))
-    return form_add(structure.omega, d_alpha), d_alpha
+    @functools.cache
+    def jet(*axes):  # u_a, or u_ab (a <= b) by composed first-order symbols: d of du
+        return functools.reduce(lambda f, a: derivative(f, a, 1), axes, fu).values
+
+    dx = [(b, lab, c) for b, cf in enumerate(st.coord_forms) for lab, c in cf.items()]
+    du = _signed_sum(st, 1, (((lab,), (c, jet(b))) for b, lab, c in dx))
+
+    def contributions():
+        for a, la, ca in dx:
+            for j, k in st.j_table.get(la, {}).items():
+                if isinstance(k, np.ndarray):
+                    yield from _coefficient_differential(
+                        st, _unchecked_field(st.grid, -ca * k * jet(a)), (j,))
+                else:
+                    yield from (((lb, j), (cb, -ca * k, jet(*sorted((a, b))))) for b, lb, cb in dx)
+        for I, c in form_scale(apply_J(du), -1.0).terms.items():
+            yield from _structure_terms(st, I, c)
+
+    d_a = correction_differential(u, du)
+    d_alpha = form_add(_signed_sum(st, 2, contributions()), d_a).prune()
+    return form_add(st.omega, d_alpha), d_alpha, d_a
 
 
 # ---------------------------------------------------------------------------

@@ -55,22 +55,20 @@ def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
     where the compatible metric is built from the opposite orientation of the
     almost-complex action (matching the branch adjustment of the ellipticity
     monitor)."""
-    st = w.structure
-    W = {**w.terms, **{(j, i): -c for (i, j), c in w.terms.items()}}
+    st, W = w.structure, w.terms
     # (WJ)[a, b] sums W[a, i] J[i, b] over the nonzeros of column b of J;
-    # every coframe's J has one per column, so this is a dense matmul's float
+    # every coframe's J has one per column, so this is a dense matmul's float.
+    # Below the diagonal W[a, i] = -W[i, a]: the sign goes on the J entry.
     cols = [[(i, row[b]) for i, row in st.j_table.items() if b in row] for b in range(st.rank)]
-    WJ = lambda a, b: sum(W[a, i] * c for i, c in cols[b] if (a, i) in W)
+    WJ = lambda a, b: sum(W[a, i] * c if a < i else W[i, a] * -c
+                          for i, c in cols[b] if (min(a, i), max(a, i)) in W)
     return min_eigenvalue(symmetric_part(WJ, st.rank, sign))
 
 
-def _forms_and_potential_defect(u: ScalarField, st: nf.NilStructure):
-    """(w, d alpha) of `ansatz_forms` and the potential defect, all from one
-    du, which is dropped before the caller goes on."""
-    du = nf.scalar_differential(st, u)
-    w, d_alpha = nf.ansatz_forms(u, st, du)
-    da_w = nf.wedge(nf.correction_differential(u, du), w)
-    return w, d_alpha, da_w.max_norm() / max(nf.wedge(st.omega, st.omega).max_norm(), 1.0)
+def _potential_defect(d_a: nf.InvariantForm, w: nf.InvariantForm) -> float:
+    """Max coefficient of d(a) ^ w relative to omega^2."""
+    om = w.structure.omega
+    return nf.wedge(d_a, w).max_norm() / max(nf.wedge(om, om).max_norm(), 1.0)
 
 
 def potential_defect(
@@ -83,7 +81,8 @@ def potential_defect(
     potential for the reconstructed form."""
     require_finite(u)
     st = structure if structure is not None else structure_for(spec, u.grid)
-    return _forms_and_potential_defect(u, st)[2]
+    w, _, d_a = nf.ansatz_forms(u, st)
+    return _potential_defect(d_a, w)
 
 
 def verify_solution(
@@ -102,10 +101,9 @@ def verify_solution(
     if not u.grid.compatible(F.grid):
         raise ValueError("u and F must share one grid")
     require_finite(u, F)
-    w, d_alpha, pot = _forms_and_potential_defect(u, structure_for(spec, u.grid))
-    _, anti = nf.type_split(d_alpha)
-    anti_norm = anti.max_norm()
-
+    w, d_alpha, d_a = nf.ansatz_forms(u, structure_for(spec, u.grid))
+    anti_norm, pot = nf.anti_invariant_norm(d_alpha), _potential_defect(d_a, w)
+    del d_alpha, d_a  # w holds what it shares with d alpha; the checks below need no more
     ratio = nf.top_form_ratio(w)
     topform = float(np.max(np.abs(ratio.values - np.exp(F.values))))
     volume = abs(integrate(ratio) - 1.0)

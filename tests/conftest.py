@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,23 @@ def count_transforms(monkeypatch):
     for name in counts:
         monkeypatch.setattr(np.fft, name, counted(name))
     return counts
+
+
+def peak_fields(grid, call):
+    """Peak of the memory that `call()` allocates beyond what was held before
+    it, as `tracemalloc` traces it, in units of one field on `grid`."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - held) / (8 * grid.npoints)
 
 
 def apply_transforms(spec, u):

@@ -332,6 +332,17 @@ class TestTypeSplit:
         with pytest.raises(ValueError):
             nf.type_split(st.zero_form(1))
 
+    @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
+    def test_anti_invariant_norm_matches_split(self, grid3, rng, warped):
+        # key by key from a and J a, the same floats as the anti part
+        warp = random_trig_field(grid3, rng, max_mode=1, scale=0.3, axes=(0,)) if warped else None
+        st = kt3(grid3, warp)
+        for _ in range(3):
+            a = random_form(st, 2, rng)
+            assert nf.anti_invariant_norm(a) == nf.type_split(a)[1].max_norm()
+        assert nf.anti_invariant_norm(st.zero_form(2)) == 0.0
+        assert nf.anti_invariant_norm(st.omega) <= 1e-15  # e^h e^-h is 1 to roundoff
+
 
 class TestDisplayedCoefficients:
     """Pin the sign conventions by the displayed intermediate expansions."""

@@ -17,7 +17,7 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import branch_safe_field, count_transforms, rel_err
+from conftest import branch_safe_field, count_transforms, peak_fields, rel_err
 
 
 def zero_field(grid):
@@ -83,6 +83,41 @@ class TestReconstruct:
         assert rel_err(w.coefficient((2, 3)), uxy) < 1e-11
 
 
+class TestAnsatzJet:
+    @pytest.mark.parametrize("correct_all", [False, True], ids=["catalog", "every_label"])
+    @pytest.mark.parametrize("family, sizes, params", [
+        ("STDMA", (16, 12), {}), ("GENMA", (16, 12), {}),
+        ("LAGR_X1X2", (16, 12), {"l1": 1.3, "l2": 0.6}),
+        ("LAGR_X2Y1", (16, 12), {"l1": -1.1, "l2": -0.9, "m1": 0.4, "m2": -0.3}),
+        ("WARPED", (16, 12), {"c": 0.7}), ("DETA_T3", (16, 12, 8), {}),
+        ("WARPED_T3", (16, 12, 8), {}), ("NDIM_FULL", (16, 12, 8, 8), {"n": 3}),
+        ("NDIM_HESSIAN", (16, 12, 8), {"n": 3}), ("NDIM_B", (16, 12, 8), {"n": 3})])
+    def test_jet_differential_matches_exterior_derivative(self, rng, family, sizes, params,
+                                                          correct_all):
+        # d alpha from the jet of u against the exterior derivative that
+        # transforms every coefficient of alpha again.  A random u carries
+        # Nyquist content, so this pins u_ab to the composed first-order
+        # symbol, u_aa included
+        g = TorusGrid(sizes)
+        if family.startswith("WARPED"):
+            params = {**params, "h": random_trig_field(g, rng, max_mode=2, scale=0.3, axes=(0,))}
+        st = eq.structure_for(eq.EquationSpec(family, **params), g)
+        if correct_all:  # so that the u * d theta_c term counts too
+            st = dataclasses.replace(
+                st, correction=st.correction + tuple((0.7, k) for k in st.d_table))
+        u = ScalarField(g, rng.standard_normal(g.sizes))
+        want = nf.exterior_derivative(nf.ansatz_one_form(u, st))
+        w, got, d_a = nf.ansatz_forms(u, st)
+        assert set(got.terms) == set(want.terms)
+        for key, c in want.terms.items():
+            assert rel_err(got.coefficient(key), c) <= 1e-13, key
+        assert nf.form_sub(w, nf.form_add(st.omega, got)).max_norm() == 0.0
+        want_a = nf.exterior_derivative(nf.ansatz_correction(u, st))
+        assert set(d_a.terms) == set(want_a.terms)
+        for key, c in want_a.terms.items():
+            assert rel_err(d_a.coefficient(key), c) <= 1e-13, key
+
+
 class TestVerifySolution:
     def test_flat_case_all_zero(self):
         g = TorusGrid((16, 16))
@@ -114,31 +149,51 @@ class TestVerifySolution:
         with pytest.raises(ValueError):
             vf.verify_solution(u, F, spec)
 
-    @pytest.mark.parametrize("family, sizes, n", [
-        ("STDMA", (32, 32), 2),
-        ("WARPED_T3", (16, 16, 16), 2),
-        ("NDIM_FULL", (8, 8, 8, 8), 3),
-    ], ids=["STDMA", "WARPED_T3", "NDIM_FULL"])
+    @pytest.mark.parametrize("family, sizes, n, transforms", [
+        ("STDMA", (32, 32), 2, 6),
+        ("WARPED", (16, 16), 2, 8),
+        ("DETA_T3", (16, 16, 16), 2, 10),
+        ("WARPED_T3", (16, 16, 16), 2, 15),
+        ("NDIM_HESSIAN", (8, 8, 8), 3, 10),
+        ("NDIM_FULL", (8, 8, 8, 8), 3, 15),
+    ], ids=["STDMA", "WARPED", "DETA_T3", "WARPED_T3", "NDIM_HESSIAN", "NDIM_FULL"])
     def test_verify_takes_each_exterior_derivative_once(self, monkeypatch, rng,
-                                                        family, sizes, n):
-        # d(alpha) and d(a): the reconstruction, the type split, the top-form
-        # ratio and the potential defect share one d(alpha), and du comes
-        # from u's spectrum, not from d of a 0-form
+                                                        family, sizes, n, transforms):
+        # du and d(alpha) come from one spectral jet of u: one forward
+        # transform, one inverse per u_a and per u_ab that a constant entry
+        # of J reaches, and per field entry of J (the warped e^{+-h} pair)
+        # one forward and d inverse for the product u_a * e^{+-h}; the type
+        # split, the top-form ratio and the potential defect take none
         g = TorusGrid(sizes)
-        h = (random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0, 2))
-             if family == "WARPED_T3" else None)
+        h = (random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0, 2)[:g.d - 1])
+             if family.startswith("WARPED") else None)
         spec = eq.EquationSpec(eq.Family(family), n=n, h=h)
         u = branch_safe_field(g, rng, max_mode=1, hessian_scale=0.3)
-        calls = []
-        inner = nf.exterior_derivative
-
-        def counted(a):
-            calls.append(a.degree)
-            return inner(a)
-
-        monkeypatch.setattr(nf, "exterior_derivative", counted)
+        counts = count_transforms(monkeypatch)
         vf.verify_solution(u, zero_field(g), spec)
-        assert sorted(calls) == [1, 1]
+        monkeypatch.undo()
+        assert counts["fftn"] == counts["ifftn"] == 0
+        assert counts["rfftn"] + counts["irfftn"] == transforms
+
+    @pytest.mark.parametrize("family, sizes, params, parent", [
+        ("STDMA", (64, 64), {}, 35), ("GENMA", (64, 64), {}, 35),
+        ("LAGR_X2Y1", (64, 64), {"l1": -1.1, "l2": -0.9, "m1": 0.4, "m2": -0.3}, 35),
+        ("WARPED", (64, 64), {"c": 0.7}, 37), ("DETA_T3", (32,) * 3, {}, 45),
+        ("WARPED_T3", (32,) * 3, {}, 47), ("NDIM_HESSIAN", (32,) * 3, {"n": 3}, 66),
+        ("NDIM_FULL", (12,) * 4, {"n": 3}, 86)])
+    def test_verify_memory_is_bounded(self, rng, family, sizes, params, parent):
+        # verification keeps no whole-form temporaries: the anti-invariant
+        # norm goes key by key, the compatibility margin copies no
+        # coefficient and builds its Gershgorin bounds row by row, and
+        # d(alpha) is dropped before the margin runs.  `parent` is the peak,
+        # in fields, of a verification that transformed every coefficient of
+        # alpha and formed both type-split parts; the pin is 3/4 of it
+        g = TorusGrid(sizes)
+        if family.startswith("WARPED"):
+            params = {**params, "h": random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0,))}
+        spec = eq.EquationSpec(family, **params)
+        u, F = random_trig_field(g, rng, max_mode=2, scale=0.01), zero_field(g)
+        assert peak_fields(g, lambda: vf.verify_solution(u, F, spec)) <= 0.75 * parent
 
 
 class TestVolumeConservation:
@@ -233,14 +288,14 @@ class TestPotentialDefect:
             assert rel_err(got.coefficient(key), c) <= 1e-14, key
 
     def test_verify_reuses_the_partials_of_u(self, monkeypatch):
-        # du (1 forward, 2 inverse) and d alpha (3 forward, 6 inverse); d a(u)
-        # comes from du and takes none
+        # one forward transform of u and one inverse per u_x, u_y, u_xx, u_xy
+        # and u_yy; du, d alpha and d a(u) all come from those
         g = TorusGrid((32, 32))
         u = from_function(g, lambda x, y: 0.01 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
         counts = count_transforms(monkeypatch)
         vf.verify_solution(u, zero_field(g), eq.EquationSpec(eq.Family.STDMA))
         monkeypatch.undo()
-        assert counts == {"rfftn": 4, "irfftn": 8, "fftn": 0, "ifftn": 0}
+        assert counts == {"rfftn": 1, "irfftn": 5, "fftn": 0, "ifftn": 0}
 
 
 def _nonfinite(grid):
