@@ -15,7 +15,7 @@ two routes agree to grid roundoff rather than to an aliasing tolerance.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, partial
 
@@ -30,7 +30,6 @@ from .grid import (
     integrate,
     mixed_derivative,
     require_finite,
-    resample,
 )
 
 
@@ -388,15 +387,9 @@ def _pointwise(spec: EquationSpec, f: dict):
     return P
 
 
-def residual(spec: EquationSpec, u: ScalarField, dealias: bool = False) -> ScalarField:
-    """Left-hand side of the family's equation, evaluated pointwise.
-
-    With `dealias=True` the nonlinearity is evaluated on a 3/2 zero-padded
-    grid and truncated back.
-    """
+def residual(spec: EquationSpec, u: ScalarField) -> ScalarField:
+    """Left-hand side of the family's equation, evaluated pointwise."""
     _check_grid(spec, u)
-    if dealias:
-        return resample(residual(*_padded(spec, u)), u.grid.sizes)
     return ScalarField(u.grid, _pointwise(spec, _Features(spec, u)))
 
 
@@ -414,13 +407,6 @@ def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, vals)
 
 
-def _padded(spec: EquationSpec, u: ScalarField) -> tuple[EquationSpec, ScalarField]:
-    """spec and u on the 3/2 zero-padded grid of the dealiased operators."""
-    sizes = tuple((3 * n // 2 + 1) // 2 * 2 for n in u.grid.sizes)
-    spec_p = spec if spec.h is None else replace(spec, h=resample(spec.h, sizes))
-    return spec_p, resample(u, sizes)
-
-
 _COMPLEX_STEP = 1e-30
 
 
@@ -433,23 +419,16 @@ def _feature_weights(spec: EquationSpec, u: ScalarField) -> dict:
             for k in f}
 
 
-def linearizer(spec: EquationSpec, u: ScalarField, dealias: bool = False):
+def linearizer(spec: EquationSpec, u: ScalarField):
     """Frechet derivative of residual at u, returned as a closure w -> L(w).
 
     L(w) = sum_k g_k f_k(w) over the features f_k that the statement reads
     at u and whose weight g_k = dP/df_k at f(u) is not zero everywhere.  The
     weights are taken once per build by the complex step Im P(f + i*eps*e_k)
     / eps (Squire & Trapp 1998), exact to roundoff for the polynomial P; per
-    application only the features of w are taken.  With `dealias=True` the
-    operator acts on the 3/2 zero-padded grid, consistently with the
-    dealiased residual.
+    application only the features of w are taken.
     """
     _check_grid(spec, u)
-    if dealias:
-        spec_p, u_p = _padded(spec, u)
-        inner = linearizer(spec_p, u_p)
-        return lambda w: resample(inner(resample(w, u_p.grid.sizes)), u.grid.sizes)
-
     weights = {k: g for k, g in _feature_weights(spec, u).items() if np.any(g)}
 
     def apply(w: ScalarField) -> ScalarField:

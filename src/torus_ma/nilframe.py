@@ -296,7 +296,9 @@ def correction_differential(u: ScalarField, du: InvariantForm) -> InvariantForm:
     d a(u) = du ^ theta_c + u * d theta_c."""
     st = du.structure
     theta_c = InvariantForm(st, 1, {(label,): coeff for coeff, label in st.correction})
-    return form_add(wedge(du, theta_c), form_scale(exterior_derivative(theta_c), u.values)).prune()
+    d_theta_c = _signed_sum(st, 2, (t for I, c in theta_c.terms.items()
+                                    for t in _structure_terms(st, I, c)))
+    return form_add(wedge(du, theta_c), form_scale(d_theta_c, u.values)).prune()
 
 
 def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:

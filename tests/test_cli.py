@@ -595,10 +595,12 @@ class TestConfigKeys:
         ("solve", {"params": {"l1": "1"}}),
         ("solve", {"params": {"bogus": 1}}),
         ("solve", {"verfy_tol": 1e-8}),
+        ("solve", {"solver": {"dealias": True}}),
+        ("solve", {"solver": {"max_newton": True}}),
     ], ids=["params-text", "params-list", "verify_tol-text", "seed-text", "dump-number",
             "expr-number", "solver-list", "verify_tol-nan", "verify_tol-negative",
             "seed-negative", "seed-fraction", "n-bool", "l1-text", "params-unknown",
-            "misspelt-key"])
+            "misspelt-key", "solver-unknown", "solver-bool"])
     def test_malformed_key_exits_two_with_report(self, tmp_path, mode, keys):
         # each of these used to end in a traceback, in exit 3 or 4, or ran
         # with the value changed or dropped

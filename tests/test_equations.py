@@ -152,27 +152,6 @@ class TestResidual:
                                            m1=0.0, m2=1.0), u)
         assert np.max(np.abs(r_gen.values - r_xy.values)) == 0.0
 
-    def test_dealias_matches_on_band_limited_input(self, grid2, rng):
-        u = random_trig_field(grid2, rng, max_mode=3, scale=0.1)
-        spec = eq.EquationSpec(eq.Family.STDMA)
-        plain = eq.residual(spec, u)
-        padded = eq.residual(spec, u, dealias=True)
-        assert np.max(np.abs(plain.values - padded.values)) < 5e-11
-
-    def test_dealias_warped_resamples_profile(self, grid2, rng):
-        # the padded evaluation must carry the warp profile along
-        u = random_trig_field(grid2, rng, max_mode=2, scale=0.02)
-        h = from_function(grid2, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
-        spec = eq.EquationSpec(eq.Family.WARPED, c=1.0, h=h)
-        plain = eq.residual(spec, u)
-        padded = eq.residual(spec, u, dealias=True)
-        # e^h is analytic, not band-limited: agreement to its spectral tail
-        assert np.max(np.abs(plain.values - padded.values)) < 1e-10
-        w = random_trig_field(grid2, rng, max_mode=2, scale=0.5)
-        lp = eq.linearizer(spec, u, dealias=True)(w)
-        l0 = eq.linearizer(spec, u)(w)
-        assert np.max(np.abs(lp.values - l0.values)) < 1e-9
-
 
 class TestOracleEquivalence:
     def test_flat_point_geometric(self, grid2):

@@ -301,3 +301,14 @@ class TestResample:
         g = TorusGrid((16, 16))
         with pytest.raises(ValueError):
             resample(constant(g, 1.0), (16, 16, 16))
+
+    def test_takes_no_complex_transform(self, rng, monkeypatch):
+        # resample moves fields on the half spectrum; it used to take an
+        # fftn/ifftn pair of every field it moved
+        f = random_trig_field(TorusGrid((32, 32)), rng, max_mode=4, scale=1.0)
+        counts = count_transforms(monkeypatch)
+        back = resample(resample(f, (48, 48)), (32, 32))
+        monkeypatch.undo()
+        assert counts["rfftn"] > 0
+        assert counts["fftn"] == counts["ifftn"] == 0
+        assert np.max(np.abs(back.values - f.values)) < 1e-12

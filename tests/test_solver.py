@@ -1,5 +1,9 @@
+import ast
+import dataclasses
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +124,7 @@ class TestGmres:
 
         cfg = sv.SolverConfig(lin_maxiter=maxiter, lin_restart=restart)
         rhs = rng.standard_normal(g.sizes)
-        _, _, achieved, _, info, applies = sv._linear_solve(L, g, rhs, 0.0, cfg, 1e-12)
+        _, _, achieved, _, info, applies = sv._linear_solve(L, g, rhs, cfg, 1e-12)
         assert info == maxiter
         # one true residual per restart, one measuring the capped step
         assert applies == maxiter + math.ceil(maxiter / restart)
@@ -140,7 +144,7 @@ class TestGmres:
         assert (fwd, inv) == {"STDMA": (1, 3), "DETA_T3": (1, 6), "WARPED": (2, 4)}[family]
         rhs = random_trig_field(g, rng, max_mode=2).values
         counts = count_transforms(monkeypatch)
-        *_, info, applies = sv._linear_solve(L, g, rhs, 0.0, sv.SolverConfig(), 1e-6)
+        *_, info, applies = sv._linear_solve(L, g, rhs, sv.SolverConfig(), 1e-6)
         monkeypatch.undo()
         assert info == 0
         assert applies > 1
@@ -298,29 +302,6 @@ class TestContinuity:
         r = eq.residual(spec, rep.u)
         assert np.max(np.abs(r.values - np.exp(F.values))) <= 1e-9
 
-    def test_dealiased_solve_matches(self, g64, star64):
-        # for band-limited data the padded-grid evaluation defines the same
-        # discrete problem, so the recovered solution coincides
-        spec = eq.EquationSpec(eq.Family.STDMA)
-        F = eq.manufactured_datum(spec, star64)
-        rep = sv.continuity_solve(spec, F, sv.SolverConfig(dealias=True))
-        assert rep.converged
-        assert np.max(np.abs(rep.u.values - star64.values)) <= 1e-8
-
-    def test_dealiased_solve_takes_no_complex_transform(self, monkeypatch):
-        # resample moves fields on the half spectrum; it used to take an
-        # fftn/ifftn pair of every field it moved
-        g = TorusGrid((32, 32))
-        u = from_function(g, lambda x, y: 0.01 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
-        spec = eq.EquationSpec(eq.Family.STDMA)
-        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, project_mean_zero(u)))
-        counts = count_transforms(monkeypatch)
-        rep = sv.continuity_solve(spec, F, sv.SolverConfig(dealias=True))
-        monkeypatch.undo()
-        assert rep.converged
-        assert counts["rfftn"] > 0
-        assert counts["fftn"] == counts["ifftn"] == 0
-
     def test_warped_final_step_not_capped(self, g64, star64):
         # the last Newton step of a node used to chase lin_rtol past what
         # newton_tol needs, and restarted GMRES ran to lin_maxiter
@@ -393,7 +374,7 @@ class TestFailurePaths:
         cfg = sv.SolverConfig()
         F = eq.manufactured_datum(spec, star64)
 
-        def garbage(L, grid, rhs_field, rhs_mean, cfg_, rtol):
+        def garbage(L, grid, rhs_field, cfg_, rtol):
             return np.zeros(grid.sizes), 0.0, 1.0, 1.0, 0, 1
 
         monkeypatch.setattr(sv, "_linear_solve", garbage)
@@ -486,14 +467,30 @@ class TestFailurePaths:
         assert rep.monitors["krylov_matvecs"] == 3 * len(failed) + len(calls) - len(failed)
 
 
+def test_readme_documents_every_solver_field():
+    # the Solver section's table lists each SolverConfig field once, with
+    # its default
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Solver\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, re.MULTILINE)
+    fields = dataclasses.fields(sv.SolverConfig)
+    assert [name for name, _ in rows] == [f.name for f in fields]
+    assert all(ast.literal_eval(text) == f.default for (_, text), f in zip(rows, fields))
+
+
 class TestGradientBound:
     def test_flat_profile_constant_is_one(self, g64):
         # with no warp and no drift the comparison constant is the period mass
         zero = zero_field(g64)
         res = sv.gradient_bound_monitor(zero, zero, 0.0)
         assert res.bound_x == pytest.approx(1.0, rel=1e-6)
-        assert res.bound_y == pytest.approx(1.0, rel=1e-6)
+        assert res.bound_y == 1.0
         assert res.passed
+
+    @pytest.mark.parametrize("n", [8, 10, 64, 250, 1024])
+    def test_zero_profile_constant_is_exactly_one(self, n):
+        # the monitor's y bound is this constant, taken as the literal 1.0
+        assert sv._bound_constant(np.zeros(n), 0.0) == 1.0
 
     def test_constant_depends_only_on_profile(self, g64, rng):
         h = from_function(g64, lambda x, y: 0.3 * np.sin(2 * np.pi * x))

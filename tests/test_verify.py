@@ -195,6 +195,22 @@ class TestVerifySolution:
         u, F = random_trig_field(g, rng, max_mode=2, scale=0.01), zero_field(g)
         assert peak_fields(g, lambda: vf.verify_solution(u, F, spec)) <= 0.75 * parent
 
+    @pytest.mark.parametrize("family", list(eq.Family), ids=lambda f: f.value)
+    def test_verify_takes_no_exterior_derivative(self, monkeypatch, rng, family):
+        # d(alpha) comes from the jet of u and d(theta_c) from the structure
+        # terms; the public exterior derivative is only the tests' reference
+        g = TorusGrid((8,) * len(eq.family_axis_names(family)))
+        h = random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0,))
+        spec = eq.EquationSpec(family, **({"h": h} if "h" in eq.FAMILY_PARAMETERS[family] else {}))
+        u, F = random_trig_field(g, rng, max_mode=2, scale=0.01), zero_field(g)
+        want = vf.verify_solution(u, F, spec)
+
+        def forbidden(a):
+            raise AssertionError("verification took an exterior derivative")
+
+        monkeypatch.setattr(nf, "exterior_derivative", forbidden)
+        assert vf.verify_solution(u, F, spec) == want
+
 
 class TestVolumeConservation:
     def test_any_potential_preserves_volume(self, rng):
