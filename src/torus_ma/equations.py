@@ -441,13 +441,6 @@ def linearizer(spec: EquationSpec, u: ScalarField):
     return apply
 
 
-def linearize_apply(spec: EquationSpec, u: ScalarField, w: ScalarField) -> ScalarField:
-    if not u.grid.compatible(w.grid):
-        raise ValueError("u and w must share one grid")
-    require_finite(w)
-    return linearizer(spec, u)(w)
-
-
 def manufactured_datum(spec: EquationSpec, u_star: ScalarField) -> ScalarField:
     """Datum F for which u_star solves the family's equation exactly on the grid."""
     r = residual(spec, u_star)
@@ -466,11 +459,6 @@ def coefficient_entries(spec: EquationSpec, u: ScalarField) -> list:
     """The family's second-order coefficient matrix as nested lists of fields."""
     _check_grid(spec, u)
     return _STATEMENTS[spec.family].matrix(spec, _Features(spec, u))
-
-
-def coefficient_matrix(spec: EquationSpec, u: ScalarField) -> np.ndarray:
-    """The family's second-order coefficient matrix, stacked over the grid."""
-    return np.stack([np.stack(row, axis=-1) for row in coefficient_entries(spec, u)], axis=-2)
 
 
 def branch_sign(spec: EquationSpec) -> float:

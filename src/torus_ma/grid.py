@@ -28,7 +28,6 @@ class TorusGrid:
     """Equispaced periodic grid on [0,1)^d, d between 2 and 5, even sizes >= 8."""
 
     sizes: tuple[int, ...]
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         self.sizes = tuple(int(n) for n in self.sizes)
@@ -38,8 +37,8 @@ class TorusGrid:
             if n < 8 or n % 2:
                 raise ValueError(f"axis sizes must be even and >= 8, got {n}")
         npts = math.prod(self.sizes)
-        if npts > self.max_points:
-            raise ValueError(f"grid has {npts} points, budget is {self.max_points}")
+        if npts > DEFAULT_MAX_POINTS:
+            raise ValueError(f"grid has {npts} points, budget is {DEFAULT_MAX_POINTS}")
 
     @property
     def d(self) -> int:
@@ -185,10 +184,6 @@ def from_function(grid: TorusGrid, fn) -> ScalarField:
     return ScalarField(grid, np.broadcast_to(vals, grid.sizes).astype(np.float64))
 
 
-def constant(grid: TorusGrid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.sizes, float(value)))
-
-
 def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     """Spectral derivative along one axis, held by its half spectrum."""
     return _SpectrumField(f.grid, f.hat * f.grid.multiplier(axis, order))
@@ -220,65 +215,6 @@ def invert_shifted_laplacian(r: ScalarField, sigma: float) -> ScalarField:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return _SpectrumField(r.grid, r.hat / r.grid.shifted_laplacian_symbol(sigma))
-
-
-def _pad_axis(hat: np.ndarray, axis: int, n_old: int, n_new: int) -> np.ndarray:
-    """Resize a full-spectrum axis of an FFT array, splitting/folding the Nyquist bin."""
-    if n_new == n_old:
-        return hat
-    shape = list(hat.shape)
-    shape[axis] = n_new
-    out = np.zeros(shape, dtype=complex)
-    half = n_old // 2
-
-    def sl(arr, lo, hi):
-        idx = [slice(None)] * arr.ndim
-        idx[axis] = slice(lo, hi)
-        return tuple(idx)
-
-    if n_new > n_old:
-        out[sl(out, 0, half)] = hat[sl(hat, 0, half)]
-        out[sl(out, n_new - half + 1, n_new)] = hat[sl(hat, half + 1, n_old)]
-        nyq = hat[sl(hat, half, half + 1)] / 2.0
-        out[sl(out, half, half + 1)] = nyq
-        out[sl(out, n_new - half, n_new - half + 1)] += nyq
-    else:
-        halfn = n_new // 2
-        out[sl(out, 0, halfn)] = hat[sl(hat, 0, halfn)]
-        out[sl(out, halfn + 1, n_new)] = hat[sl(hat, n_old - halfn + 1, n_old)]
-        out[sl(out, halfn, halfn + 1)] = (
-            hat[sl(hat, halfn, halfn + 1)] + hat[sl(hat, n_old - halfn, n_old - halfn + 1)]
-        )
-    return out
-
-
-def _pad_last_axis(hat: np.ndarray, n_old: int, n_new: int) -> np.ndarray:
-    """`_pad_axis` on the last axis of a half spectrum.  A fold adds the mode
-    -N/2 to the new Nyquist bin: the conjugate of +N/2 at the negated indices
-    of the other axes."""
-    half = min(n_old, n_new) // 2
-    out = np.zeros(hat.shape[:-1] + (n_new // 2 + 1,), dtype=complex)
-    out[..., :half] = hat[..., :half]
-    nyq, others = hat[..., half], tuple(range(hat.ndim - 1))
-    out[..., half] = nyq / 2.0 if n_new > n_old else nyq + np.conj(np.roll(np.flip(nyq), 1, others))
-    return out
-
-
-def resample(f: ScalarField, sizes: tuple[int, ...]) -> ScalarField:
-    """Spectral interpolation/truncation onto a grid with different sizes.
-
-    Works on the half spectrum of f, splitting and folding the Nyquist bin
-    of every axis alike; the result is held by its half spectrum."""
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) != f.grid.d:
-        raise ValueError("resample cannot change dimension")
-    hat = f.hat
-    for axis, (n_old, n_new) in enumerate(zip(f.grid.sizes, sizes)):
-        if n_old != n_new:
-            hat = (_pad_last_axis(hat, n_old, n_new) if axis == f.grid.d - 1
-                   else _pad_axis(hat, axis, n_old, n_new))
-    new_grid = TorusGrid(sizes, max_points=f.grid.max_points)
-    return _SpectrumField(new_grid, hat * (new_grid.npoints / f.grid.npoints))
 
 
 def random_trig_field(

@@ -34,7 +34,6 @@ from .equations import (
 )
 from .grid import (
     ScalarField,
-    _pad_axis,
     _unchecked_field,
     derivative,
     integrate,
@@ -451,8 +450,21 @@ def _profile(h: ScalarField, axis: int = 0) -> np.ndarray:
 def _bound_constant(h1d: np.ndarray, c: float, m: int = 8192) -> float:
     """The explicit sup bound for 1-periodic v with a zero satisfying
     e^h v' + (c + e^h h') v > -1, by quadrature of the comparison integrals."""
+    # h1d resampled spectrally to m points: for m > n its Nyquist bin is
+    # split in half between modes +-n/2, for m < n modes +-m/2 fold into the
+    # new Nyquist bin, and for m == n the spectrum is kept as it is
     n = h1d.size
-    hf = np.real(np.fft.ifft(_pad_axis(np.fft.fft(h1d), 0, n, m))) * (m / n)
+    H = np.fft.fft(h1d)
+    half = min(n, m) // 2
+    pad = np.zeros(m, dtype=complex)
+    pad[:half] = H[:half]
+    pad[m - half + 1:] = H[n - half + 1:]
+    if n > m:
+        pad[half] = H[half] + H[n - half]
+    else:
+        pad[half] = H[half] / 2.0
+        pad[m - half] += H[half] / 2.0
+    hf = np.real(np.fft.ifft(pad)) * (m / n)
     s = np.arange(m) / m
     hat = np.fft.fft(hf)
     k = np.fft.fftfreq(m, d=1.0 / m)

@@ -246,7 +246,7 @@ class TestLinearize:
         spec = eq.EquationSpec(eq.Family.STDMA)
         zero = ScalarField(grid2, np.zeros(grid2.sizes))
         w = random_trig_field(grid2, rng, max_mode=3, scale=1.0)
-        lw = eq.linearize_apply(spec, zero, w)
+        lw = eq.linearizer(spec, zero)(w)
         want = derivative(w, 0, 2).values + derivative(w, 1, 2).values
         assert rel_err(lw.values, want) < 1e-12
 
@@ -257,7 +257,7 @@ class TestLinearize:
         spec = eq.EquationSpec(eq.Family.WARPED, c=1.0, h=h)
         u = random_trig_field(grid2, rng, max_mode=2, scale=0.05)
         w = random_trig_field(grid2, rng, max_mode=2, scale=0.5)
-        lw = eq.linearize_apply(spec, u, w)
+        lw = eq.linearizer(spec, u)(w)
         emh = np.exp(-h.values)
         hp = derivative(h, 0, 1).values
         coef = spec.c * emh + hp
@@ -294,7 +294,7 @@ class TestLinearize:
 
         for name, spec, u, w in cases:
             r0 = eq.residual(spec, u).values
-            lw = eq.linearize_apply(spec, u, w).values
+            lw = eq.linearizer(spec, u)(w).values
             prev = None
             epsilon = 1e-3
             for _ in range(halvings):
@@ -388,7 +388,7 @@ def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):
 
     want = np.imag(eq._pointwise(spec, Stepped())) / eps
     assert rel_err(undrifted, want) > 1e-3
-    assert rel_err(eq.linearize_apply(spec, u, w).values, want) < 1e-12
+    assert rel_err(eq.linearizer(spec, u)(w).values, want) < 1e-12
 
 
 class TestManufactureAndNormalize:

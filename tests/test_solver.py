@@ -492,6 +492,24 @@ class TestGradientBound:
         # the monitor's y bound is this constant, taken as the literal 1.0
         assert sv._bound_constant(np.zeros(n), 0.0) == 1.0
 
+    @pytest.mark.parametrize("n", [8, 10, 64, 250, 16384])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_nyquist_split_matches_half_spectrum_route(self, n, c, rng):
+        # random values fill the Nyquist bins; the second route resamples
+        # the profile on the half spectrum, halving its Nyquist bin (n < m)
+        # or folding modes +-m/2 into the new one (n > m), and hands
+        # _bound_constant a profile already at its m points
+        h = 0.3 * rng.standard_normal(n)
+        m = 8192
+        H = np.fft.rfft(h)
+        if n < m:
+            H[n // 2] /= 2.0
+        else:
+            H[m // 2] = 2.0 * H[m // 2].real
+        h_m = np.fft.irfft(H, n=m) * (m / n)
+        want = sv._bound_constant(h_m, c, m)
+        assert sv._bound_constant(h, c, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_constant_depends_only_on_profile(self, g64, rng):
         h = from_function(g64, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
         zero = zero_field(g64)

@@ -363,7 +363,8 @@ def _dense_pairing(w, sign):
 
 
 def _dense_coefficients(spec, u):
-    M = eq.coefficient_matrix(spec, u) * eq.branch_sign(spec)
+    rows = eq.coefficient_entries(spec, u)
+    M = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) * eq.branch_sign(spec)
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
