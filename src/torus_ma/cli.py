@@ -21,7 +21,6 @@ import ast
 import json
 import math
 import operator
-import os
 import re
 import sys
 import time
@@ -519,15 +518,6 @@ def main(argv: list[str] | None = None) -> int:
         print("--out cannot be combined with multiple configs", file=sys.stderr)
         return 2
 
-    jobs = max(1, args.jobs)
-    env_cap = os.environ.get("TORUS_MA_THREADS")
-    if env_cap:
-        try:
-            jobs = min(jobs, max(1, int(env_cap)))
-        except ValueError:
-            print("TORUS_MA_THREADS must be an integer", file=sys.stderr)
-            return 2
-
     codes, configs = [], []
     for path in args.config:
         try:
@@ -535,7 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             codes.append(2)
-    if len(configs) <= 1 or jobs == 1:
+    # no more workers than configs: the pool starts all of them up front
+    jobs = min(max(1, args.jobs), len(configs))
+    if jobs <= 1:
         codes += [run(cfg, args.force) for cfg in configs]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -214,15 +214,17 @@ def min_eigenvalue(S: list) -> float:
 # A family builds a pointwise coefficient matrix M from the linear spectral
 # features of u that it reads; its residual is
 #     P = (det M - correction) / scale.
-# The residual, the linearization, the coefficient matrix and the warped
-# branch minima are all derived from that one statement.  Feature keys:
+# The residual, the linearization and the coefficient matrix are all
+# derived from that one statement.  Feature keys:
 # (a,) is u_a, (a, b) with a <= b is u_ab, and ("div", a, s) is the
 # divergence form (e^{s h} u_a)_a.  The same row names the family's axes and
 # parameters, its coframe and its datum weight.
 
-class _Features(dict):
-    """Linear spectral features of one field, each taken on first read and
-    kept in read order, the u_a that a weighted divergence reads included."""
+class Evaluation(dict):
+    """The family's statement at one field u: a dict of the linear spectral
+    features of u, each taken on first read and kept in read order (the u_a
+    that a weighted divergence reads included), and its coefficient matrix
+    `entries` and checked `residual` P, each formed once on first read."""
 
     def __init__(self, spec: EquationSpec, u: ScalarField):
         super().__init__()
@@ -239,6 +241,14 @@ class _Features(dict):
             val = mixed_derivative(self.u, *key).values
         self[key] = val
         return val
+
+    @cached_property
+    def entries(self) -> list:
+        return _STATEMENTS[self.spec.family].matrix(self.spec, self)
+
+    @cached_property
+    def residual(self) -> ScalarField:
+        return ScalarField(self.u.grid, _pointwise(self.spec, self, self.entries))
 
 
 @dataclass(frozen=True)
@@ -375,10 +385,11 @@ def family_axis_names(family: Family | str, n: int = 2) -> tuple[str, ...]:
     return _STATEMENTS[Family(family)].axes(n)
 
 
-def _pointwise(spec: EquationSpec, f: dict):
-    """The residual P of the family's statement at the feature values f."""
+def _pointwise(spec: EquationSpec, f: dict, M: list | None = None):
+    """The residual P of the family's statement at the feature values f
+    (and at their coefficient matrix M, where that is already formed)."""
     st = _STATEMENTS[spec.family]
-    M = st.matrix(spec, f)
+    M = st.matrix(spec, f) if M is None else M
     P = _det(M)
     if st.correction is not None:
         P = P - st.correction(spec, f, M)
@@ -387,10 +398,15 @@ def _pointwise(spec: EquationSpec, f: dict):
     return P
 
 
+def evaluate(spec: EquationSpec, u: ScalarField) -> Evaluation:
+    """The family's statement at u, with u checked once for all read off it."""
+    _check_grid(spec, u)
+    return Evaluation(spec, u)
+
+
 def residual(spec: EquationSpec, u: ScalarField) -> ScalarField:
     """Left-hand side of the family's equation, evaluated pointwise."""
-    _check_grid(spec, u)
-    return ScalarField(u.grid, _pointwise(spec, _Features(spec, u)))
+    return evaluate(spec, u).residual
 
 
 def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
@@ -399,8 +415,7 @@ def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
     exterior-algebra expansion, which is the residual of record."""
     if spec.axis_names != ("x1", "x2", "x3", "y1"):
         raise ValueError("the printed comparison form is stated for n = 3")
-    _check_grid(spec, u)
-    f = _Features(spec, u)
+    f = evaluate(spec, u)
     M = _hessian_matrix(3, f, f[3, 3] - f[(3,)])
     vals = (_det(M) - f[2, 2] * f[1, 3] ** 2 - f[1, 1] * f[2, 3] ** 2
             - 2.0 * f[1, 2] * f[1, 3] * f[2, 3])
@@ -410,33 +425,34 @@ def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
 _COMPLEX_STEP = 1e-30
 
 
-def _feature_weights(spec: EquationSpec, u: ScalarField) -> dict:
+def _feature_weights(ev: Evaluation) -> dict:
     """The weight g_k = dP/df_k at f(u) of every feature k that the statement
     reads at u, in read order, zero weights included."""
-    f = _Features(spec, u)
-    _pointwise(spec, f)  # takes every feature it reads, in read order
-    return {k: np.imag(_pointwise(spec, {**f, k: f[k] + 1j * _COMPLEX_STEP})) / _COMPLEX_STEP
-            for k in f}
+    ev.residual  # takes every feature it reads, in read order
+    return {k: np.imag(_pointwise(ev.spec, {**ev, k: ev[k] + 1j * _COMPLEX_STEP})) / _COMPLEX_STEP
+            for k in ev}
 
 
-def linearizer(spec: EquationSpec, u: ScalarField):
-    """Frechet derivative of residual at u, returned as a closure w -> L(w).
+def linearizer(ev: Evaluation):
+    """Frechet derivative of the residual at the evaluated field u, returned
+    as a closure w -> L(w).
 
     L(w) = sum_k g_k f_k(w) over the features f_k that the statement reads
     at u and whose weight g_k = dP/df_k at f(u) is not zero everywhere.  The
     weights are taken once per build by the complex step Im P(f + i*eps*e_k)
-    / eps (Squire & Trapp 1998), exact to roundoff for the polynomial P; per
-    application only the features of w are taken.
+    / eps (Squire & Trapp 1998), exact to roundoff for the polynomial P, from
+    the features `ev` holds; per application only the features of w are
+    taken.  The closure holds no reference to `ev`.
     """
-    _check_grid(spec, u)
-    weights = {k: g for k, g in _feature_weights(spec, u).items() if np.any(g)}
+    spec, grid = ev.spec, ev.u.grid
+    weights = {k: g for k, g in _feature_weights(ev).items() if np.any(g)}
 
     def apply(w: ScalarField) -> ScalarField:
-        fw = _Features(spec, w)
-        vals = np.zeros(u.grid.sizes)
+        fw = Evaluation(spec, w)
+        vals = np.zeros(grid.sizes)
         for k, g in weights.items():
             vals += g * fw[k]
-        return _unchecked_field(u.grid, vals)
+        return _unchecked_field(grid, vals)
 
     return apply
 
@@ -453,12 +469,6 @@ def normalize_datum(spec: EquationSpec, F: ScalarField) -> ScalarField:
     """Shift F by a constant so that the flat-measure integral of e^F is 1."""
     shift = np.log(integrate(ScalarField(F.grid, np.exp(F.values))))
     return ScalarField(F.grid, F.values - shift)
-
-
-def coefficient_entries(spec: EquationSpec, u: ScalarField) -> list:
-    """The family's second-order coefficient matrix as nested lists of fields."""
-    _check_grid(spec, u)
-    return _STATEMENTS[spec.family].matrix(spec, _Features(spec, u))
 
 
 def branch_sign(spec: EquationSpec) -> float:

@@ -23,13 +23,13 @@ import numpy as np
 
 from .equations import (
     EquationSpec,
+    Evaluation,
     Family,
     branch_sign,
-    coefficient_entries,
     datum_log_weight,
+    evaluate,
     linearizer,
     min_eigenvalue,
-    residual,
     symmetric_part,
 )
 from .grid import (
@@ -146,23 +146,12 @@ def _grad_max(u: ScalarField) -> float:
     return max(derivative(u, ax, 1).max_norm() for ax in range(u.grid.d))
 
 
-def ellipticity_monitor(spec: EquationSpec, u: ScalarField) -> float:
+def ellipticity_monitor(ev: Evaluation) -> float:
     """Minimum over the grid of the smallest eigenvalue of the symmetrized,
-    branch-sign-adjusted coefficient matrix.  Exact: `min_eigenvalue` runs
-    LAPACK only at the Gershgorin candidates."""
-    M = coefficient_entries(spec, u)
-    return min_eigenvalue(symmetric_part(lambda a, b: M[a][b], len(M), branch_sign(spec)))
-
-
-def warped_branch_minima(spec: EquationSpec, u: ScalarField) -> tuple[float, float]:
-    """Minima of the two diagonal branch quantities of the warped family,
-    (e^h u_x)_x + c u_x = e^h M_11 - 1 and 1 + u_yy = M_22, read from its
-    coefficient matrix M."""
-    if spec.family is not Family.WARPED:
-        raise ValueError("branch minima are defined for the warped family")
-    M = coefficient_entries(spec, u)
-    prima = np.exp(spec.h.values) * M[0][0] - 1.0
-    return float(np.min(prima)), float(np.min(M[1][1]))
+    branch-sign-adjusted coefficient matrix of the evaluated field.  Exact:
+    `min_eigenvalue` runs LAPACK only at the Gershgorin candidates."""
+    M = ev.entries
+    return min_eigenvalue(symmetric_part(lambda a, b: M[a][b], len(M), branch_sign(ev.spec)))
 
 
 def _target_log_rhs(spec: EquationSpec, F: ScalarField, t: float) -> ScalarField:
@@ -268,19 +257,17 @@ def newton_solve(
     if abs(integrate(u0)) > 1e-8:
         raise ValueError("u0 must be mean-zero")
     u = project_mean_zero(u0)
-    # the ellipticity margin of the current iterate, reported with it
-    margin = ellipticity_monitor(spec, u)
+    # one evaluation per iterate: its ellipticity margin, reported with it,
+    # its residual and the next linearizer all read it
+    ev = evaluate(spec, u)
+    margin = ellipticity_monitor(ev)
     if margin < cfg.delta:
         raise ValueError("u0 lies outside the elliptic branch")
 
     grid = u0.grid
     eG = np.exp(G.values)
     b = float(b0)
-
-    def res_vals(uu, bb):
-        return residual(spec, uu).values - eG - bb
-
-    r = res_vals(u, b)
+    r = ev.residual.values - eG - b
     hist = [float(np.max(np.abs(r)))]
     witness = float("inf")
     status = Status.MAX_ITERATIONS
@@ -292,7 +279,8 @@ def newton_solve(
         if hist[-1] <= cfg.newton_tol:
             status = Status.CONVERGED
             break
-        L = linearizer(spec, u)
+        L = linearizer(ev)
+        ev = ev_try = None  # no evaluation is held through the Krylov solve
         w_vals, beta, achieved, wit, info, applies = _linear_solve(L, grid, -r, cfg, forcing)
         witness = min(witness, wit)
         matvecs += applies
@@ -306,16 +294,17 @@ def newton_solve(
         branch_blocked = 0
         for _bt in range(cfg.max_backtracks):
             u_try = project_mean_zero(ScalarField(grid, u.values + step * w_vals))
-            margin_try = ellipticity_monitor(spec, u_try)
+            ev_try = evaluate(spec, u_try)
+            margin_try = ellipticity_monitor(ev_try)
             if margin_try < cfg.delta:
                 branch_blocked += 1
                 step *= cfg.damping
                 continue
             b_try = b + step * beta
-            r_try = res_vals(u_try, b_try)
+            r_try = ev_try.residual.values - eG - b_try
             n_try = float(np.max(np.abs(r_try)))
             if n_try <= (1.0 - 1e-4 * step) * hist[-1] or n_try <= cfg.newton_tol:
-                u, b, r, margin = u_try, b_try, r_try, margin_try
+                u, b, r, margin, ev = u_try, b_try, r_try, margin_try, ev_try
                 hist.append(n_try)
                 # inexact-Newton forcing term (Eisenstat & Walker 1996),
                 # tightened quadratically with the observed contraction so the
@@ -370,13 +359,14 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
     b = 0.0
     t = 0.0
     dt = cfg.dt_init
-    margin = ellipticity_monitor(spec, u)
+    ev = evaluate(spec, u)
+    margin = ellipticity_monitor(ev)
     trace = [TraceNode(t=0.0, newton_iterations=0,
                        final_residual=float(np.max(np.abs(
-                           residual(spec, u).values
-                           - np.exp(_target_log_rhs(spec, F, 0.0).values)))),
+                           ev.residual.values - np.exp(_target_log_rhs(spec, F, 0.0).values)))),
                        min_eigenvalue=margin,
                        u_max=0.0, grad_max=0.0, b=0.0)]
+    del ev  # no evaluation is held through a Krylov solve
     witness = float("inf")
     history: list[float] = []
     rejected: list[RejectedAttempt] = []
@@ -429,10 +419,12 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
     report.monitors["krylov_matvecs"] = matvecs
     report.monitors["krylov_capped"] = capped
     if spec.family is Family.WARPED:
-        prima, seconda = warped_branch_minima(spec, u)
-        report.monitors["prima_min"] = prima
-        report.monitors["seconda_min"] = seconda
         gb = gradient_bound_monitor(u, spec.h, spec.c)
+        # the warped branch quantities (e^h u_x)_x + c u_x = e^h M_11 - 1
+        # and 1 + u_yy = M_22, read from the coefficient matrix M
+        M = evaluate(spec, u).entries
+        report.monitors["prima_min"] = float(np.min(np.exp(spec.h.values) * M[0][0] - 1.0))
+        report.monitors["seconda_min"] = float(np.min(M[1][1]))
         report.monitors["gradient_bound"] = gb
     return report
 

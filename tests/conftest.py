@@ -71,7 +71,7 @@ def apply_transforms(spec, u):
     such a feature."""
     from torus_ma import equations as eq
 
-    keys = [k for k, g in eq._feature_weights(spec, u).items() if np.any(g)]
+    keys = [k for k, g in eq._feature_weights(eq.evaluate(spec, u)).items() if np.any(g)]
     divs = [k for k in keys if k[0] == "div"]
     return 1 + len(divs), len(keys) + sum((k[1],) not in keys for k in divs)
 

@@ -301,7 +301,7 @@ def test_criterion_07_linearization_slope(capsys, g64):
         u = branch_safe_field(grid, rng, max_mode=mode, hessian_scale=0.25)
         w = branch_safe_field(grid, rng, max_mode=mode, hessian_scale=1.0)
         r0 = eq.residual(spec, u).values
-        lw = eq.linearizer(spec, u)(w).values
+        lw = eq.linearizer(eq.evaluate(spec, u))(w).values
         rems = []
         for epsilon in eps_list:
             up = ScalarField(grid, u.values + epsilon * w.values)

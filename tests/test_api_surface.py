@@ -44,3 +44,10 @@ def test_every_public_function_has_a_reader(module):
         if not any(fn.name in read[id(node)] for node in statements if node is not fn):
             unread.append(fn.name)
     assert unread == [], f"{module}: public functions no one reads: {unread}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_environment_variable_is_read(module):
+    # every knob is a command-line option or a config key, where it is
+    # validated and documented
+    assert not _names(TREES[module]) & {"environ", "getenv"}

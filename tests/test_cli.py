@@ -550,14 +550,34 @@ class TestRunPipeline:
         for i in range(2):
             assert (tmp_path / f"r{i}" / "report.txt").exists()
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TORUS_MA_THREADS", "1")
+    def test_jobs_capped_at_config_count(self, tmp_path, monkeypatch):
+        # the pool starts all its workers up front, so --jobs beyond the
+        # number of configs only started idle processes; none start here
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return list(map(fn, *args))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         cfgs = []
         for i in range(2):
             cfgs.extend(["--config", write_config(
-                tmp_path / f"c{i}.json", mode="selftest",
-                out=str(tmp_path / f"r{i}"), seed=i)])
-        assert cli.main(["selftest", *cfgs, "--jobs", "8"]) == 0
+                tmp_path / f"c{i}.json", mode="manufacture", family="STDMA", grid=[8, 8],
+                datum={"expr": "0.01*sin(2*pi*x)"}, out=str(tmp_path / f"r{i}"))])
+        assert cli.main(["manufacture", *cfgs, "--jobs", "10000"]) == 0
+        assert seen == [2]
+        for i in range(2):
+            assert (tmp_path / f"r{i}" / "report.txt").exists()
 
 
 # an 8x8 STDMA solve; each test overrides or adds keys

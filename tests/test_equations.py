@@ -246,7 +246,7 @@ class TestLinearize:
         spec = eq.EquationSpec(eq.Family.STDMA)
         zero = ScalarField(grid2, np.zeros(grid2.sizes))
         w = random_trig_field(grid2, rng, max_mode=3, scale=1.0)
-        lw = eq.linearizer(spec, zero)(w)
+        lw = eq.linearizer(eq.evaluate(spec, zero))(w)
         want = derivative(w, 0, 2).values + derivative(w, 1, 2).values
         assert rel_err(lw.values, want) < 1e-12
 
@@ -257,7 +257,7 @@ class TestLinearize:
         spec = eq.EquationSpec(eq.Family.WARPED, c=1.0, h=h)
         u = random_trig_field(grid2, rng, max_mode=2, scale=0.05)
         w = random_trig_field(grid2, rng, max_mode=2, scale=0.5)
-        lw = eq.linearizer(spec, u)(w)
+        lw = eq.linearizer(eq.evaluate(spec, u))(w)
         emh = np.exp(-h.values)
         hp = derivative(h, 0, 1).values
         coef = spec.c * emh + hp
@@ -294,7 +294,7 @@ class TestLinearize:
 
         for name, spec, u, w in cases:
             r0 = eq.residual(spec, u).values
-            lw = eq.linearizer(spec, u)(w).values
+            lw = eq.linearizer(eq.evaluate(spec, u))(w).values
             prev = None
             epsilon = 1e-3
             for _ in range(halvings):
@@ -340,7 +340,7 @@ _APPLY_TRANSFORMS = {
 def test_linearizer_takes_each_derivative_once(spec, grid, rng, monkeypatch):
     u = random_trig_field(grid, rng, max_mode=1, scale=0.05)
     w = random_trig_field(grid, rng, max_mode=1, scale=1.0)
-    L = eq.linearizer(spec, u)
+    L = eq.linearizer(eq.evaluate(spec, u))
     expected_fwd, expected_inv = apply_transforms(spec, u)
     assert (expected_fwd, expected_inv) == _APPLY_TRANSFORMS[spec.family.value]
     counts = count_transforms(monkeypatch)
@@ -359,14 +359,14 @@ def test_dropped_zero_weights_change_no_bit(spec, grid, at, rng):
     u = (ScalarField(grid, np.zeros(grid.sizes)) if at == "zero"
          else random_trig_field(grid, rng, max_mode=1, scale=0.05))
     w = random_trig_field(grid, rng, max_mode=2, scale=1.0)
-    weights = eq._feature_weights(spec, u)
+    weights = eq._feature_weights(eq.evaluate(spec, u))
     # at u = 0 every family has an off-diagonal entry whose weight vanishes
     assert at == "random" or not all(np.any(g) for g in weights.values())
-    fw = eq._Features(spec, w)
+    fw = eq.Evaluation(spec, w)
     full = np.zeros(grid.sizes)
     for k, g in weights.items():
         full += g * fw[k]
-    assert np.array_equal(eq.linearizer(spec, u)(w).values, full)
+    assert np.array_equal(eq.linearizer(eq.evaluate(spec, u))(w).values, full)
 
 
 def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):
@@ -376,11 +376,11 @@ def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):
     g = TorusGrid((8, 8, 8))
     u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.3)
     w = random_trig_field(g, rng, max_mode=2, scale=1.0)
-    undrifted = eq.linearizer(spec, u)(w).values
+    undrifted = eq.linearizer(eq.evaluate(spec, u))(w).values
     row = replace(eq._STATEMENTS[eq.Family.NDIM_HESSIAN],
                   matrix=lambda s, f: eq._hessian_matrix(s.n, f, f[(0,)]))
     monkeypatch.setitem(eq._STATEMENTS, eq.Family.NDIM_HESSIAN, row)
-    fu, fw, eps = eq._Features(spec, u), eq._Features(spec, w), 1e-30
+    fu, fw, eps = eq.Evaluation(spec, u), eq.Evaluation(spec, w), 1e-30
 
     class Stepped(dict):  # the features of u + i*eps*w, by linearity
         def __missing__(self, key):
@@ -388,7 +388,7 @@ def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):
 
     want = np.imag(eq._pointwise(spec, Stepped())) / eps
     assert rel_err(undrifted, want) > 1e-3
-    assert rel_err(eq.linearizer(spec, u)(w).values, want) < 1e-12
+    assert rel_err(eq.linearizer(eq.evaluate(spec, u))(w).values, want) < 1e-12
 
 
 class TestManufactureAndNormalize:

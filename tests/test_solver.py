@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import math
 import re
 import warnings
@@ -139,7 +140,7 @@ class TestGmres:
         h = from_function(g, lambda x, *_: 0.3 * np.sin(2 * np.pi * x))
         spec = eq.EquationSpec(family, **({"c": 1.0, "h": h} if family == "WARPED" else {}))
         u = branch_safe_field(g, rng, max_mode=1, hessian_scale=0.2)
-        L = eq.linearizer(spec, u)
+        L = eq.linearizer(eq.evaluate(spec, u))
         fwd, inv = apply_transforms(spec, u)
         assert (fwd, inv) == {"STDMA": (1, 3), "DETA_T3": (1, 6), "WARPED": (2, 4)}[family]
         rhs = random_trig_field(g, rng, max_mode=2).values
@@ -183,22 +184,17 @@ class TestHomotopyDatum:
 class TestEllipticityMonitor:
     def test_flat_point_is_one(self, g64):
         spec = eq.EquationSpec(eq.Family.STDMA)
-        assert sv.ellipticity_monitor(spec, zero_field(g64)) == pytest.approx(1.0)
+        assert sv.ellipticity_monitor(eq.evaluate(spec, zero_field(g64))) == pytest.approx(1.0)
 
     def test_negative_curvature_flagged(self, g64):
         # u with u_xx dipping to -2 has an indefinite coefficient matrix
         spec = eq.EquationSpec(eq.Family.STDMA)
         u = from_function(g64, lambda x, y: 2.0 / (2 * np.pi) ** 2 * np.cos(2 * np.pi * x))
-        assert sv.ellipticity_monitor(spec, u) < 0.0
+        assert sv.ellipticity_monitor(eq.evaluate(spec, u)) < 0.0
 
     def test_negative_branch_sign_adjustment(self, g64):
         spec = eq.EquationSpec(eq.Family.LAGR_X1X2, l1=-1.0, l2=-1.0)
-        assert sv.ellipticity_monitor(spec, zero_field(g64)) == pytest.approx(1.0)
-
-    def test_branch_minima_only_for_warped(self, g64):
-        spec = eq.EquationSpec(eq.Family.STDMA)
-        with pytest.raises(ValueError):
-            sv.warped_branch_minima(spec, zero_field(g64))
+        assert sv.ellipticity_monitor(eq.evaluate(spec, zero_field(g64))) == pytest.approx(1.0)
 
 
 class TestNewton:
@@ -313,13 +309,105 @@ class TestContinuity:
         assert rep.monitors["krylov_capped"] == 0
         assert rep.monitors["krylov_matvecs"] > 0
 
+    def test_warped_branch_minima_reported(self, g64, star64):
+        # the report's branch minima against the two quantities formed
+        # directly: (e^h u_x)_x + c u_x and 1 + u_yy
+        h = from_function(g64, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
+        spec = eq.EquationSpec(eq.Family.WARPED, c=1.0, h=h)
+        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, star64))
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig())
+        assert rep.converged
+        ux = derivative(rep.u, 0, 1).values
+        prima = derivative(ScalarField(g64, np.exp(h.values) * ux), 0, 1).values + spec.c * ux
+        seconda = 1.0 + derivative(rep.u, 1, 2).values
+        assert rep.monitors["prima_min"] == pytest.approx(np.min(prima), rel=0, abs=1e-12)
+        assert rep.monitors["seconda_min"] == pytest.approx(np.min(seconda), rel=0, abs=1e-12)
+
+    def test_one_evaluation_per_newton_iterate(self, monkeypatch):
+        # the monitor, the residual and the next linearizer of an iterate read
+        # one evaluation of the statement: its features are taken once, when
+        # the monitor reads the coefficient matrix, and neither the residual
+        # nor the linearizer build takes a transform
+        g = TorusGrid((32, 32))
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        star = project_mean_zero(from_function(
+            g, lambda x, y: 0.012 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+            + 0.002 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)))
+        G = sv.homotopy_datum(eq.manufactured_datum(spec, star), 1.0)
+        counts = count_transforms(monkeypatch)
+        calls = {"evaluate": 0, "project": 0}
+        taken = {"monitor": [], "linearizer": [], "krylov": []}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def taking(name, fn):
+            def wrapped(*args, **kwargs):
+                before = dict(counts)
+                out = fn(*args, **kwargs)
+                taken[name].append({k: counts[k] - before[k] for k in counts})
+                return out
+            return wrapped
+
+        monkeypatch.setattr(sv, "evaluate", counted("evaluate", sv.evaluate))
+        monkeypatch.setattr(sv, "project_mean_zero", counted("project", sv.project_mean_zero))
+        monkeypatch.setattr(sv, "ellipticity_monitor",
+                            taking("monitor", sv.ellipticity_monitor))
+        monkeypatch.setattr(sv, "linearizer", taking("linearizer", sv.linearizer))
+        monkeypatch.setattr(sv, "_linear_solve", taking("krylov", sv._linear_solve))
+        rep = sv.newton_solve(spec, G, zero_field(g), sv.SolverConfig())
+        total = dict(counts)
+        monkeypatch.undo()
+        assert rep.converged
+        steps = len(rep.newton_history) - 1
+        assert len(taken["linearizer"]) == len(taken["krylov"]) == steps > 1
+        # u0 and every trial are projected once each
+        trials = calls["project"] - 1
+        assert trials >= steps
+        assert calls["evaluate"] == len(taken["monitor"]) == 1 + trials
+        # per evaluation: one forward transform of u and one inverse per
+        # feature the matrix reads, u_xx, u_xy, u_yy and the first-order u_x, u_y
+        one = {"rfftn": 1, "irfftn": 5, "fftn": 0, "ifftn": 0}
+        assert taken["monitor"] == [one] * len(taken["monitor"])
+        assert all(not any(t.values()) for t in taken["linearizer"])
+        spent = {k: sum(t[k] for t in taken["monitor"] + taken["krylov"]) for k in total}
+        assert spent == total
+
+    @pytest.mark.parametrize("family", ["DETA_T3", "WARPED_T3"])
+    def test_no_evaluation_alive_during_krylov_solve(self, monkeypatch, family):
+        # an evaluation holds every feature of its field: one left bound
+        # through a Krylov solve raised the peak memory of the solve
+        g = TorusGrid((16, 16, 16))
+        h = from_function(g, lambda x1, x2, y1: 0.2 * np.sin(2 * np.pi * x1)
+                          + 0.15 * np.cos(2 * np.pi * y1))
+        spec = eq.EquationSpec(family, **({"h": h} if family == "WARPED_T3" else {}))
+        star = project_mean_zero(from_function(
+            g, lambda x1, x2, y1: 0.01 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1)
+            + 0.008 * np.cos(2 * np.pi * x2) * np.sin(2 * np.pi * y1)))
+        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, star))
+        alive = []
+        real = sv._linear_solve
+
+        def checked(*args, **kwargs):
+            alive.append(sum(isinstance(o, eq.Evaluation) for o in gc.get_objects()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "_linear_solve", checked)
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig())
+        assert rep.converged
+        assert len(alive) > 1
+        assert alive == [0] * len(alive)
+
     def test_ellipticity_margin_reused(self, g64, star64, monkeypatch):
         # the margin of an accepted iterate is known from its Newton trial (or
         # the entry check), so it is not computed again for the trace or the
         # final monitor
         spec = eq.EquationSpec(eq.Family.STDMA)
         F = eq.normalize_datum(spec, eq.manufactured_datum(spec, star64))
-        calls = {"monitor": 0, "residual": 0, "newton": 0}
+        calls = {"monitor": 0, "evaluate": 0, "newton": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -329,17 +417,17 @@ class TestContinuity:
 
         monkeypatch.setattr(sv, "ellipticity_monitor",
                             counted("monitor", sv.ellipticity_monitor))
-        monkeypatch.setattr(sv, "residual", counted("residual", sv.residual))
+        monkeypatch.setattr(sv, "evaluate", counted("evaluate", sv.evaluate))
         monkeypatch.setattr(sv, "newton_solve", counted("newton", sv.newton_solve))
         rep = sv.continuity_solve(spec, F, sv.SolverConfig())
         monkeypatch.undo()
         assert rep.converged
-        # t = 0 and every node entry evaluate one residual each; every other
-        # residual belongs to a Newton trial that passed the branch check
-        trials = calls["residual"] - 1 - calls["newton"]
+        # t = 0 and every node entry evaluate the statement once each; every
+        # other evaluation belongs to a Newton trial
+        trials = calls["evaluate"] - 1 - calls["newton"]
         assert trials > 0
         assert calls["monitor"] == 1 + calls["newton"] + trials
-        fresh = sv.ellipticity_monitor(spec, rep.u)
+        fresh = sv.ellipticity_monitor(eq.evaluate(spec, rep.u))
         assert rep.monitors["ellipticity_min"] == fresh
         assert rep.trace[-1].min_eigenvalue == fresh
 
@@ -361,9 +449,9 @@ class TestFailurePaths:
         calls = {"n": 0}
         real = sv.ellipticity_monitor
 
-        def failing(spec_, u_):
+        def failing(ev):
             calls["n"] += 1
-            return real(spec_, u_) if calls["n"] == 1 else -1.0
+            return real(ev) if calls["n"] == 1 else -1.0
 
         monkeypatch.setattr(sv, "ellipticity_monitor", failing)
         rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)
@@ -413,9 +501,9 @@ class TestFailurePaths:
         calls = {"n": 0}
         real = sv.ellipticity_monitor
 
-        def blocking(spec_, u_):
+        def blocking(ev):
             calls["n"] += 1
-            return -1.0 if calls["n"] == blocked else real(spec_, u_)
+            return -1.0 if calls["n"] == blocked else real(ev)
 
         monkeypatch.setattr(sv, "ellipticity_monitor", blocking)
         rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)

@@ -255,11 +255,11 @@ class TestVolumeConservation:
         for _ in range(6):
             u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.5)
             margin = vf.compatibility_margin(vf.reconstruct_form(u, spec, structure=st))
-            monitor = sv.ellipticity_monitor(spec, u)
+            monitor = sv.ellipticity_monitor(eq.evaluate(spec, u))
             assert margin > 0 and monitor > 0
         bad = from_function(g, lambda x, y: 2.5 / (2 * np.pi) ** 2 * np.cos(2 * np.pi * x))
         margin = vf.compatibility_margin(vf.reconstruct_form(bad, spec, structure=st))
-        monitor = sv.ellipticity_monitor(spec, bad)
+        monitor = sv.ellipticity_monitor(eq.evaluate(spec, bad))
         assert margin < 0 and monitor < 0
 
 
@@ -363,7 +363,7 @@ def _dense_pairing(w, sign):
 
 
 def _dense_coefficients(spec, u):
-    rows = eq.coefficient_entries(spec, u)
+    rows = eq.evaluate(spec, u).entries
     M = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) * eq.branch_sign(spec)
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
@@ -461,7 +461,7 @@ def test_monitors_match_dense_eigvalsh(name):
     sign = eq.branch_sign(spec)
     assert vf.compatibility_margin(vf.reconstruct_form(u, spec), sign) == _dense_min(
         _case_stack(f"{name}-G"))
-    assert sv.ellipticity_monitor(spec, u) == _dense_min(_case_stack(f"{name}-M"))
+    assert sv.ellipticity_monitor(eq.evaluate(spec, u)) == _dense_min(_case_stack(f"{name}-M"))
 
 
 @pytest.mark.parametrize("name,sizes", [("STDMA", (64, 64)), ("NDIM_HESSIAN", (24, 24, 24))],
@@ -484,5 +484,5 @@ def test_margin_calls_lapack_on_few_points(monkeypatch, name, sizes):
         vf.compatibility_margin(vf.reconstruct_form(field, spec), eq.branch_sign(spec))
         assert sum(seen) <= limit
         seen.clear()
-        sv.ellipticity_monitor(spec, field)
+        sv.ellipticity_monitor(eq.evaluate(spec, field))
         assert sum(seen) <= limit
