@@ -310,14 +310,24 @@ def _lagr_x2y1_coframe(s: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
                                     nu=-s.m2 * c0, sign=sign)
 
 
+def _lagrangian_matrix(s: EquationSpec, f: dict) -> list:
+    """[[l1 + u_xx, u_xy], [u_xy, l2 + u_yy + m1 u_x + m2 u_y]], with the
+    terms added left to right.  A first-order term whose m is 0 is left out,
+    so its u_a is not taken."""
+    M = [[s.l1 + f[0, 0], f[0, 1]], [f[0, 1], s.l2 + f[1, 1]]]
+    for a, m in enumerate((s.m1, s.m2)):
+        if m:
+            M[1][1] = M[1][1] + m * f[(a,)]
+    return M
+
+
 # The Lagrangian-fibration statement on (x, y), which each of its rows
 # completes.  STDMA and GENMA read no parameter, and the LAGR_X1X2 coframe
 # has no first-order terms to match m1 and m2.
 _lagrangian = partial(
     _Statement,
     axes=lambda n: ("x", "y"),
-    matrix=lambda s, f: [[s.l1 + f[0, 0], f[0, 1]],
-                         [f[0, 1], s.l2 + f[1, 1] + s.m1 * f[(0,)] + s.m2 * f[(1,)]]],
+    matrix=_lagrangian_matrix,
     scale=lambda s: s.l1 * s.l2,
 )
 

@@ -250,8 +250,8 @@ def newton_solve(
     step, and the caller does better with a shorter continuation step than
     with more Newton steps (Deuflhard 2004, ch. 5).
 
-    Every trial is built through the checked `ScalarField` constructor, so a
-    non-finite Krylov step raises ValueError.
+    Every trial is checked once, by the `evaluate` that takes its features,
+    so a non-finite Krylov step raises ValueError.
     """
     require_finite(G, u0)
     if abs(integrate(u0)) > 1e-8:
@@ -277,7 +277,6 @@ def newton_solve(
 
     for _ in range(cfg.max_newton):
         if hist[-1] <= cfg.newton_tol:
-            status = Status.CONVERGED
             break
         L = linearizer(ev)
         ev = ev_try = None  # no evaluation is held through the Krylov solve
@@ -293,7 +292,7 @@ def newton_solve(
         accepted = False
         branch_blocked = 0
         for _bt in range(cfg.max_backtracks):
-            u_try = project_mean_zero(ScalarField(grid, u.values + step * w_vals))
+            u_try = project_mean_zero(_unchecked_field(grid, u.values + step * w_vals))
             ev_try = evaluate(spec, u_try)
             margin_try = ellipticity_monitor(ev_try)
             if margin_try < cfg.delta:
@@ -325,9 +324,8 @@ def newton_solve(
             status = Status.NEWTON_STALLED
             break
         last_step = step
-    else:
-        if hist[-1] <= cfg.newton_tol:
-            status = Status.CONVERGED
+    if hist[-1] <= cfg.newton_tol:
+        status = Status.CONVERGED
 
     return SolveReport(u=u, b=b, status=status, newton_history=hist,
                        monitors={"krylov_matvecs": matvecs, "krylov_capped": capped,
@@ -375,7 +373,6 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
 
     for _ in range(cfg.max_steps):
         if t >= 1.0:
-            status = Status.CONVERGED
             break
         t_try = min(1.0, t + dt)
         dt = t_try - t
@@ -408,9 +405,8 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
             if dt < cfg.dt_min:
                 status = rep.status
                 break
-    else:
-        if t >= 1.0:
-            status = Status.CONVERGED
+    if t >= 1.0:
+        status = Status.CONVERGED
 
     report = SolveReport(u=u, b=b, status=status, trace=trace, rejected=rejected,
                          newton_history=history, sigma_min_witness=witness)
@@ -433,64 +429,41 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
 # a-priori gradient bound
 # ---------------------------------------------------------------------------
 
-def _profile(h: ScalarField, axis: int = 0) -> np.ndarray:
-    """Extract the 1-d profile of a field that varies along a single axis."""
-    vals = np.moveaxis(h.values, axis, 0)
-    return vals.reshape(vals.shape[0], -1)[:, 0]
+_QUAD_POINTS = 8192
 
 
-def _bound_constant(h1d: np.ndarray, c: float, m: int = 8192) -> float:
+def _bound_constant(h1d: np.ndarray, c: float) -> float:
     """The explicit sup bound for 1-periodic v with a zero satisfying
-    e^h v' + (c + e^h h') v > -1, by quadrature of the comparison integrals."""
-    # h1d resampled spectrally to m points: for m > n its Nyquist bin is
-    # split in half between modes +-n/2, for m < n modes +-m/2 fold into the
-    # new Nyquist bin, and for m == n the spectrum is kept as it is
-    n = h1d.size
-    H = np.fft.fft(h1d)
-    half = min(n, m) // 2
-    pad = np.zeros(m, dtype=complex)
-    pad[:half] = H[:half]
-    pad[m - half + 1:] = H[n - half + 1:]
-    if n > m:
-        pad[half] = H[half] + H[n - half]
-    else:
-        pad[half] = H[half] / 2.0
-        pad[m - half] += H[half] / 2.0
-    hf = np.real(np.fft.ifft(pad)) * (m / n)
-    s = np.arange(m) / m
-    hat = np.fft.fft(hf)
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    mult = 2j * np.pi * k
-    mult[m // 2] = 0.0
-    hp = np.real(np.fft.ifft(hat * mult))
-    integrand = c * np.exp(-hf) + hp
+    e^h v' + (c + e^h h') v > -1, by quadrature of the comparison integrals.
 
-    # primitive of the integrand; it is periodic-plus-linear
-    mean_part = float(np.mean(integrand))
-    osc = integrand - mean_part
-    osc_hat = np.fft.fft(osc)
-    div = 2j * np.pi * k
-    div[0] = 1.0
-    anti = np.real(np.fft.ifft(osc_hat / div))
-    anti -= anti[0]
-    G1 = anti + mean_part * s
-    kappa = mean_part  # growth of the primitive over one period
-
-    # samples on [-1, 2): three periods
-    G = np.concatenate([G1 - kappa, G1, G1 + kappa])
-    hh = np.concatenate([hf, hf, hf])
-    E = np.exp(G - hh)
-    ds = 1.0 / m
-    I = np.concatenate([[0.0], np.cumsum((E[1:] + E[:-1]) / 2.0)]) * ds
-
-    idx = np.arange(3 * m)
-    lower = np.clip(idx - m, m, 2 * m)   # max(s - 1, 0) in sample indices
-    upper = np.clip(idx + m, m, 2 * m)   # min(s + 1, 1)
-    fwd = np.exp(-G) * (I - I[lower])
-    fwd[idx < m] = -np.inf
-    bwd = np.exp(-G) * (I[upper] - I)
-    bwd[idx >= 2 * m] = -np.inf
-    return float(max(np.max(fwd), np.max(bwd)))
+    With y = e^h v the hypothesis reads y' + c e^{-h} y > -1, whose
+    integrating factor is e^{cQ}, Q(s) = int_0^s e^{-h}.  The bound is the
+    max over s of e^{-h-cQ} times the larger integral of e^{cQ} over the
+    length-1 windows ending and starting at s.  Q grows by q = mean(e^{-h})
+    per period, so one period of samples gives both windows."""
+    # h1d resampled spectrally to m points: for even n < m its Nyquist bin
+    # is split in half between modes +-n/2, for n > m modes +-m/2 fold into
+    # the new Nyquist bin
+    m, n = _QUAD_POINTS, h1d.size
+    H = np.fft.rfft(h1d)[:m // 2 + 1]
+    if n % 2 == 0 and n < m:
+        H[-1] /= 2.0
+    elif n > m:
+        H[-1] = 2.0 * H[-1].real
+    h = np.fft.irfft(H, n=m) * (m / n)
+    eh = np.exp(-h)
+    q = float(np.mean(eh))
+    # Q is the spectral primitive of e^{-h}: q s plus that of its oscillation
+    osc = np.fft.rfft(eh)
+    osc[0] = 0.0
+    osc[1:] /= 2j * np.pi * np.arange(1, m // 2 + 1)
+    Q = np.fft.irfft(osc, n=m) + q * np.arange(m) / m
+    E = np.exp(c * np.append(Q, Q[0] + q))
+    J = np.append(0.0, np.cumsum((E[1:] + E[:-1]) / 2.0)) / m  # int_0^s e^{cQ}
+    J, J1 = J[:-1], J[-1]
+    ending = J + np.exp(-c * q) * (J1 - J)
+    starting = J1 - J + np.exp(c * q) * J
+    return float(np.max(np.exp(-h - c * Q) * np.maximum(ending, starting)))
 
 
 def gradient_bound_monitor(u: ScalarField, h: ScalarField, c: float) -> GradientBoundResult:
@@ -507,7 +480,7 @@ def gradient_bound_monitor(u: ScalarField, h: ScalarField, c: float) -> Gradient
     vx = ux.values
     tol = 1e-13 * max(1.0, float(np.max(np.abs(vx))))
     has_zero = np.all((vx.min(axis=0) <= tol) & (vx.max(axis=0) >= -tol))
-    bound_x = _bound_constant(_profile(h, 0), c)
+    bound_x = _bound_constant(h.values[:, 0], c)
     # y has h = 0, c = 0: the constant is the period mass, and for a zero
     # profile, at any n, _bound_constant returns exactly 1.0
     bound_y = 1.0

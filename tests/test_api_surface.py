@@ -51,3 +51,20 @@ def test_no_environment_variable_is_read(module):
     # every knob is a command-line option or a config key, where it is
     # validated and documented
     assert not _names(TREES[module]) & {"environ", "getenv"}
+
+
+COMPLEX_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_complex_transform_is_read(module):
+    # every field is real: spectral calculus runs on the half spectrum
+    # (rfft/irfft and their n-D forms), with one spectral convention
+    read = set()
+    for node in ast.walk(TREES[module]):
+        if (isinstance(node, ast.Attribute) and node.attr in COMPLEX_TRANSFORMS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            read |= {alias.name for alias in node.names} & COMPLEX_TRANSFORMS
+    assert read == set(), f"{module} reads complex transforms: {sorted(read)}"

@@ -369,8 +369,9 @@ class TestContinuity:
         assert trials >= steps
         assert calls["evaluate"] == len(taken["monitor"]) == 1 + trials
         # per evaluation: one forward transform of u and one inverse per
-        # feature the matrix reads, u_xx, u_xy, u_yy and the first-order u_x, u_y
-        one = {"rfftn": 1, "irfftn": 5, "fftn": 0, "ifftn": 0}
+        # feature the matrix reads, u_xx, u_xy and u_yy; STDMA's m1 = m2 = 0
+        # weigh no u_x or u_y
+        one = {"rfftn": 1, "irfftn": 3, "fftn": 0, "ifftn": 0}
         assert taken["monitor"] == [one] * len(taken["monitor"])
         assert all(not any(t.values()) for t in taken["linearizer"])
         spent = {k: sum(t[k] for t in taken["monitor"] + taken["krylov"]) for k in total}
@@ -595,8 +596,30 @@ class TestGradientBound:
         else:
             H[m // 2] = 2.0 * H[m // 2].real
         h_m = np.fft.irfft(H, n=m) * (m / n)
-        want = sv._bound_constant(h_m, c, m)
-        assert sv._bound_constant(h, c, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = sv._bound_constant(h_m, c)
+        assert sv._bound_constant(h, c) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_drift_free_constant_is_max_of_exp_minus_h(self):
+        # c = 0: every window integral of e^{cQ} is 1, so the constant is
+        # max e^{-h}, reached by 0.3 sin 2 pi x at x = 3/4, a quadrature point
+        x = np.arange(64) / 64
+        assert sv._bound_constant(0.3 * np.sin(2 * np.pi * x), 0.0) == pytest.approx(
+            np.exp(0.3), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, -1.0, 2.5])
+    def test_flat_profile_constant_closed_form(self, c):
+        # h = 0: Q(s) = s, and the larger window integral of e^{cs}, times
+        # e^{-cs}, is (e^{|c|} - 1)/|c|; the trapezoid rule errs by O(c^2/m^2)
+        assert sv._bound_constant(np.zeros(64), c) == pytest.approx(
+            np.expm1(abs(c)) / abs(c), rel=1e-8, abs=0.0)
+
+    def test_odd_size_keeps_its_top_mode(self):
+        # an odd profile has no Nyquist bin: its top mode +-31 at n = 63 is
+        # resampled whole, not halved, and h = 0.1 cos(2 pi 31 x) reaches
+        # -0.1 at the quadrature point x = 1/2
+        x = np.arange(63) / 63
+        h = 0.1 * np.cos(2 * np.pi * 31 * x)
+        assert sv._bound_constant(h, 0.0) == pytest.approx(np.exp(0.1), rel=1e-14, abs=0.0)
 
     def test_constant_depends_only_on_profile(self, g64, rng):
         h = from_function(g64, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
