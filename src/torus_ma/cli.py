@@ -250,16 +250,35 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# written as \uXXXX escapes of their own inside a quoted text: surrogates,
+# which UTF-8 cannot encode, and the line breaks of `str.splitlines` that
+# JSON leaves bare
+_ESCAPED = re.compile("[\x85\u2028\u2029\ud800-\udfff]")
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_ESCAPE = re.compile(r'\\(?:u([0-9a-fA-F]{4})|(["\\/bfnrt]))')
+_SIMPLE = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+
+
 def _text(text: str, key: bool = False) -> str:
     """text as a report writes it: verbatim where `read_report` gives it back
     unchanged, else as a JSON string (a line break, surrounding blanks, an
-    empty text, a leading double quote, a colon in a key, or a lone
-    surrogate, which UTF-8 cannot encode)."""
+    empty text, a leading double quote, a colon in a key, or a surrogate).
+    A quoted text keeps other non-ASCII characters as they are and writes
+    each surrogate as its own escape, so a surrogate pair stays two."""
     if (text and text == text.strip() and text.splitlines() == [text]
             and not text.startswith('"') and not (key and ":" in text)
-            and not re.search("[\ud800-\udfff]", text)):
+            and not _ESCAPED.search(text)):
         return text
-    return json.dumps(text)
+    return _ESCAPED.sub(lambda m: f"\\u{ord(m[0]):04x}", json.dumps(text, ensure_ascii=False))
+
+
+def _unquote(text: str) -> tuple[str, int]:
+    """The quoted text at the start of `text` and the index past it.  Each
+    escape is read on its own: \\uXXXX is one character, never paired."""
+    m = _QUOTED.match(text)
+    if m is None:
+        raise ValueError(f"unterminated quoted text: {text!r}")
+    return _ESCAPE.sub(lambda e: chr(int(e[1], 16)) if e[1] else _SIMPLE[e[2]], m[1]), m.end()
 
 
 def write_report(path: str | Path, tree: dict) -> None:
@@ -292,7 +311,7 @@ def read_report(path: str | Path) -> dict:
         depth = (len(line) - len(line.lstrip(" "))) // 2
         text = line.strip()
         if text.startswith('"'):
-            key, end = json.JSONDecoder().raw_decode(text)
+            key, end = _unquote(text)
             rest = text[end + 1:]  # past the colon
         else:
             key, _, rest = text.partition(":")
@@ -305,7 +324,7 @@ def read_report(path: str | Path) -> dict:
             parent[key] = child
             stack.append((depth, child))
         else:
-            parent[key] = json.loads(rest) if rest.startswith('"') else rest
+            parent[key] = _unquote(rest)[0] if rest.startswith('"') else rest
     return root
 
 

@@ -4,7 +4,7 @@ Each family states a pointwise residual whose zero set (against a prescribed
 right-hand side e^F) is the reduced Calabi-Yau volume equation of one torus
 bundle geometry.  Every family also carries a geometric realization through
 `nilframe`, so the scalar formula can be cross-checked by rebuilding the
-2-form and expanding its top wedge power.
+2-form and taking its top-form ratio.
 
 Warped families evaluate their principal coefficient in divergence form,
 (e^h u_x)_x computed as the spectral derivative of the pointwise product:
@@ -503,7 +503,7 @@ def datum_log_weight(spec: EquationSpec):
 
 def residual_geom(spec: EquationSpec, u: ScalarField) -> ScalarField:
     """The family's residual recomputed through the exterior-algebra route:
-    rebuild omega + d(alpha), expand its top wedge power and weight it."""
+    rebuild omega + d(alpha), take its top-form ratio and weight it."""
     _check_grid(spec, u)
     st = structure_for(spec, u.grid)
     w = nf.ansatz_forms(u, st)[0]

@@ -16,9 +16,9 @@ of every product.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,18 +39,82 @@ def _signed_sum(structure: NilStructure, degree: int, contributions) -> Invarian
     contributions (I, (f1, f2, ...)): the one place that sorts, signs and sums.
 
     An I that repeats an index contributes nothing, and its factors are never
-    multiplied.  The factors multiply left to right and a sign of -1 negates
-    the product, which is exact; terms on one key add in contribution order.
+    multiplied.  Terms on one key add in contribution order, in place, but
+    only into arrays this sum allocated: a term that is a bare input array is
+    stored as it is until a second term lands on its key.  No input factor is
+    ever written.
     """
     terms: dict[tuple[int, ...], np.ndarray | float] = {}
+    fresh: set[tuple[int, ...]] = set()  # keys whose array this sum allocated
     for I, factors in contributions:
         sign = _permutation_sign(I)
         if sign:
-            c = math.prod(factors[1:], start=factors[0])
-            c = c if sign > 0 else -c
             key = tuple(sorted(I))
-            terms[key] = terms[key] + c if key in terms else c
+            c, new = _product(factors, sign)
+            if key not in terms:
+                terms[key] = c
+            elif key in fresh:
+                terms[key] += c
+            elif new:
+                c += terms[key]  # addition commutes exactly
+                terms[key] = c
+            else:
+                terms[key] = c = terms[key] + c
+                new = isinstance(c, np.ndarray)
+            if new:
+                fresh.add(key)
+            del c  # a stale reference to the last term holds one field
+        del factors
     return InvariantForm(structure, degree, terms).prune()
+
+
+def _product(factors, sign: int):
+    """(sign * f1 * f2 * ..., fresh): the factors multiplied left to right,
+    in place once the product is an array this call allocated.  A scalar
+    factor +-1 is dropped and its sign kept; a -1 sign goes on the first
+    other scalar factor, or negates the formed product.  All of it is exact.
+    `fresh` says whether the result is an array allocated here."""
+    kept = []
+    for f in factors:
+        if not isinstance(f, np.ndarray) and (f == 1.0 or f == -1.0):
+            sign = sign if f > 0 else -sign
+        else:
+            kept.append(f)
+    if sign < 0:
+        at = next((k for k, f in enumerate(kept) if not isinstance(f, np.ndarray)), None)
+        if at is not None:
+            kept[at], sign = -kept[at], 1
+    if not kept:
+        return float(sign), False
+    c, fresh = kept[0], False
+    for f in kept[1:]:
+        if fresh:
+            c *= f
+        else:
+            c = c * f
+            fresh = isinstance(c, np.ndarray)
+    if sign < 0:
+        if fresh:
+            np.negative(c, out=c)
+        else:
+            c = -c
+            fresh = isinstance(c, np.ndarray)
+    return c, fresh
+
+
+def _keywise(structure: NilStructure, degree: int, contributions, fn) -> dict:
+    """{key: fn(key, c)} over the terms c of `_signed_sum(structure, degree,
+    contributions)`, one key at a time: each key's contributions, in their
+    order, are summed only when that key is reached, and its term is
+    dropped once fn has read it, so one key's arrays are alive at once.
+    The contributions must hold their factors, not form them."""
+    groups: dict[tuple[int, ...], list] = {}
+    for I, factors in contributions:
+        groups.setdefault(tuple(sorted(I)), []).append((I, factors))
+    out: dict = {}
+    for group in groups.values():
+        out.update((key, fn(key, c)) for key, c in _signed_sum(structure, degree, group).terms.items())
+    return out
 
 
 def _is_zero(c) -> bool:
@@ -112,6 +176,16 @@ class NilStructure:
         if len(self.coord_forms) != self.grid.d:
             raise ValueError("one coordinate differential per grid axis required")
 
+    @functools.cached_property
+    def omega_pfaffian(self) -> float:
+        """Pf(omega): omega^n = n! Pf(omega) theta^1 ^ ... ^ theta^2n."""
+        return float(_pfaffian(self, self.omega.terms))
+
+    @functools.cached_property
+    def omega_square_norm(self) -> float:
+        """Max coefficient of omega ^ omega."""
+        return wedge_max_norm(self.omega, self.omega)
+
     @property
     def rank(self) -> int:
         return len(self.labels)
@@ -169,10 +243,20 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     Degrees add; a result beyond the manifold's top degree is the zero form of
     that degree, since each of its index tuples repeats an index.
     """
+    return _signed_sum(a.structure, a.degree + b.degree, _wedge_terms(a, b))
+
+
+def wedge_max_norm(a: InvariantForm, b: InvariantForm) -> float:
+    """Max coefficient of a ^ b, formed one key at a time, with no |c| array."""
+    norms = _keywise(a.structure, a.degree + b.degree, _wedge_terms(a, b),
+                     lambda _, c: max(float(np.max(c)), -float(np.min(c))))
+    return max(norms.values(), default=0.0)
+
+
+def _wedge_terms(a: InvariantForm, b: InvariantForm):
     if a.structure is not b.structure:  # one structure is one grid
         raise ValueError("wedge requires forms over the same structure")
-    return _signed_sum(a.structure, a.degree + b.degree, (
-        (I + J, (cI, cJ)) for I, cI in a.terms.items() for J, cJ in b.terms.items()))
+    return [(I + J, (cI, cJ)) for I, cI in a.terms.items() for J, cJ in b.terms.items()]
 
 
 def _coefficient_differential(structure: NilStructure, f: ScalarField, I=()):
@@ -184,7 +268,7 @@ def _coefficient_differential(structure: NilStructure, f: ScalarField, I=()):
             continue
         for label, coeff in cf.items():
             if coeff != 0.0:
-                yield (label,) + I, (coeff * dvals,)
+                yield (label,) + I, (dvals, coeff)
 
 
 def exterior_derivative(a: InvariantForm) -> InvariantForm:
@@ -255,29 +339,51 @@ def type_split(a: InvariantForm) -> tuple[InvariantForm, InvariantForm]:
 
 def anti_invariant_norm(a: InvariantForm) -> float:
     """Max coefficient of (a - J a) / 2, the anti-invariant part of a 2-form,
-    taken key by key from a and J a: neither part of `type_split` is formed."""
-    ja = j_conjugate(a).terms
-    return max((0.5 * float(np.max(np.abs(a.terms.get(k, 0.0) - ja.get(k, 0.0))))
-                for k in a.terms.keys() | ja.keys()), default=0.0)
+    taken key by key from a and J a: neither part of `type_split`, nor J a
+    as a whole, is formed."""
+    def half_max(k, ja_k):
+        d = np.subtract(a.terms.get(k, 0.0), ja_k)
+        return 0.5 * float(np.max(np.abs(d, out=d) if isinstance(d, np.ndarray) else abs(d)))
+
+    jas = _keywise(a.structure, a.degree, _j_images(a), half_max)
+    rest = (half_max(k, 0.0) for k in a.terms if k not in jas)
+    return max(itertools.chain(jas.values(), rest), default=0.0)
+
+
+def _matchings(W: dict, idx: tuple[int, ...]):
+    """Perfect matchings of the indices idx whose pairs all carry a
+    coefficient of W, expanded along the first index, as contributions:
+    (i1, j1, i2, j2, ...) and the coefficients W[i1, j1], W[i2, j2], ...
+    The permutation sign of the index tuple is the matching's sign in the
+    Pfaffian."""
+    if not idx:
+        yield (), ()
+        return
+    for k in range(1, len(idx)):
+        pair = (idx[0], idx[k])
+        if pair in W:
+            for I, factors in _matchings(W, idx[1:k] + idx[k + 1:]):
+                yield pair + I, (W[pair], *factors)
+
+
+def _pfaffian(st: NilStructure, W: dict):
+    """Pf of the antisymmetric rank x rank matrix with W[i, j] above its
+    diagonal: each perfect matching multiplied once and summed in place."""
+    top = tuple(range(st.rank))
+    return _signed_sum(st, st.rank, _matchings(W, top)).terms.get(top, 0.0)
 
 
 def top_form_ratio(w: InvariantForm, structure: NilStructure | None = None) -> ScalarField:
-    """Scalar r with w^n = r * omega^n, by exact expansion of the wedge powers."""
+    """Scalar r with w^n = r * omega^n.  Both top powers are n! times a
+    Pfaffian, so r = Pf(W) / Pf(omega) for the coefficient matrix W of w;
+    no wedge power is formed."""
     st = structure or w.structure
     if w.degree != 2:
         raise ValueError("top_form_ratio expects a 2-form")
-    n = st.half_dim
-    wn = w
-    omn = st.omega
-    for _ in range(n - 1):
-        wn = wedge(wn, w)
-        omn = wedge(omn, st.omega)
-    top = tuple(range(st.rank))
-    denom = omn.terms.get(top, 0.0)
-    if _is_zero(denom):
+    denom = st.omega_pfaffian
+    if denom == 0.0:
         raise ValueError("omega^n is degenerate")
-    num = wn.terms.get(top, 0.0)
-    return ScalarField(st.grid, np.asarray(num, dtype=float) / np.asarray(denom, dtype=float))
+    return ScalarField(st.grid, np.divide(_pfaffian(st, w.terms), denom))
 
 
 def ansatz_correction(u: ScalarField, structure: NilStructure) -> InvariantForm:
@@ -312,35 +418,47 @@ def ansatz_forms(u: ScalarField, structure: NilStructure
     """(omega + d alpha, d alpha, d a(u)) for alpha = -J du + a(u), from one
     spectral jet of u.  With beta_a = -J(dx^a), d(-J du) is the sum over a of
     (sum_b u_ab dx^b) ^ beta_a + u_a d beta_a, whose second terms are the
-    structure terms of -J du, and d a(u) is `correction_differential`.  A
-    field entry k of J (the warped e^{+-h} pair) has no Leibniz rule on the
-    grid: u_a k is differentiated as one coefficient, as `exterior_derivative`
-    does."""
+    structure terms of -J du, taken from du's terms and J's entries, and
+    d a(u) is `correction_differential`.  A field entry k of J (the warped
+    e^{+-h} pair) has no Leibniz rule on the grid: u_a k is differentiated
+    as one coefficient, as `exterior_derivative` does.  Each u_ab is formed
+    on its first read and dropped after its last."""
     st = structure
     if not st.grid.compatible(u.grid):
         raise ValueError("scalar lives on a different grid than the structure")
     fu = _unchecked_field(u.grid, u.values)
-
-    @functools.cache
-    def jet(*axes):  # u_a, or u_ab (a <= b) by composed first-order symbols: d of du
-        return functools.reduce(lambda f, a: derivative(f, a, 1), axes, fu).values
-
     dx = [(b, lab, c) for b, cf in enumerate(st.coord_forms) for lab, c in cf.items()]
-    du = _signed_sum(st, 1, (((lab,), (c, jet(b))) for b, lab, c in dx))
+    u_a = {b: derivative(fu, b, 1).values for b, _, _ in dx}
+    du = _signed_sum(st, 1, (((lab,), (c, u_a[b])) for b, lab, c in dx))
+    d_a = correction_differential(u, du)
+    # u_ab (a <= b) by composed first-order symbols, as d of du takes them
+    reads = collections.Counter((min(a, b), max(a, b)) for a, la, _ in dx
+                                for k in st.j_table.get(la, {}).values()
+                                if not isinstance(k, np.ndarray) for b, _, _ in dx)
+    jet: dict[tuple[int, int], np.ndarray] = {}
+
+    def u_ab(a, b):
+        ab = (min(a, b), max(a, b))
+        if ab not in jet:
+            jet[ab] = derivative(derivative(fu, ab[0], 1), ab[1], 1).values
+        reads[ab] -= 1
+        return jet[ab] if reads[ab] else jet.pop(ab)
 
     def contributions():
         for a, la, ca in dx:
             for j, k in st.j_table.get(la, {}).items():
                 if isinstance(k, np.ndarray):
-                    yield from _coefficient_differential(
-                        st, _unchecked_field(st.grid, -ca * k * jet(a)), (j,))
+                    coeff = -ca * k
+                    coeff *= u_a[a]
+                    yield from _coefficient_differential(st, _unchecked_field(st.grid, coeff), (j,))
                 else:
-                    yield from (((lb, j), (cb, -ca * k, jet(*sorted((a, b))))) for b, lb, cb in dx)
-        for I, c in form_scale(apply_J(du), -1.0).terms.items():
-            yield from _structure_terms(st, I, c)
+                    yield from (((lb, j), (cb, -ca * k, u_ab(a, b))) for b, lb, cb in dx)
+        for (i,), c in du.terms.items():  # v * (-J du)_j for d theta^j = v theta^pair
+            for j, k in st.j_table.get(i, {}).items():
+                yield from ((pair, (c, k, -1.0, v)) for pair, v in st.d_table.get(j, {}).items())
+        yield from ((I, (c,)) for I, c in d_a.terms.items())
 
-    d_a = correction_differential(u, du)
-    d_alpha = form_add(_signed_sum(st, 2, contributions()), d_a).prune()
+    d_alpha = _signed_sum(st, 2, contributions())
     return form_add(st.omega, d_alpha), d_alpha, d_a
 
 

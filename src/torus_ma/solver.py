@@ -440,7 +440,10 @@ def _bound_constant(h1d: np.ndarray, c: float) -> float:
     integrating factor is e^{cQ}, Q(s) = int_0^s e^{-h}.  The bound is the
     max over s of e^{-h-cQ} times the larger integral of e^{cQ} over the
     length-1 windows ending and starting at s.  Q grows by q = mean(e^{-h})
-    per period, so one period of samples gives both windows."""
+    per period, so one period of samples gives both windows.  The integrals
+    are summed in log space, relative to e^{cQ(s)}, so the bound is finite
+    wherever it fits in a float and inf beyond; at c = 0 every window
+    integral is 1 and the bound is max e^{-h}."""
     # h1d resampled spectrally to m points: for even n < m its Nyquist bin
     # is split in half between modes +-n/2, for n > m modes +-m/2 fold into
     # the new Nyquist bin
@@ -452,18 +455,22 @@ def _bound_constant(h1d: np.ndarray, c: float) -> float:
         H[-1] = 2.0 * H[-1].real
     h = np.fft.irfft(H, n=m) * (m / n)
     eh = np.exp(-h)
+    if c == 0.0:
+        return float(np.max(eh))
     q = float(np.mean(eh))
     # Q is the spectral primitive of e^{-h}: q s plus that of its oscillation
     osc = np.fft.rfft(eh)
     osc[0] = 0.0
     osc[1:] /= 2j * np.pi * np.arange(1, m // 2 + 1)
     Q = np.fft.irfft(osc, n=m) + q * np.arange(m) / m
-    E = np.exp(c * np.append(Q, Q[0] + q))
-    J = np.append(0.0, np.cumsum((E[1:] + E[:-1]) / 2.0)) / m  # int_0^s e^{cQ}
-    J, J1 = J[:-1], J[-1]
-    ending = J + np.exp(-c * q) * (J1 - J)
-    starting = J1 - J + np.exp(c * q) * J
-    return float(np.max(np.exp(-h - c * Q) * np.maximum(ending, starting)))
+    L = c * np.append(Q, Q[0] + q)
+    panel = np.logaddexp(L[:-1], L[1:]) - np.log(2.0 * m)  # log of each trapezoid of e^{cQ}
+    head = np.logaddexp.accumulate(np.append(-np.inf, panel[:-1]))  # log int_0^s e^{cQ}
+    tail = np.logaddexp.accumulate(panel[::-1])[::-1]  # log int_s^1 e^{cQ}
+    ending = np.logaddexp(head, tail - c * q)
+    starting = np.logaddexp(tail, head + c * q)
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.max(np.maximum(ending, starting) - h - L[:-1])))
 
 
 def gradient_bound_monitor(u: ScalarField, h: ScalarField, c: float) -> GradientBoundResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nilframe as nf
-from .equations import EquationSpec, branch_sign, min_eigenvalue, structure_for, symmetric_part
+from .equations import EquationSpec, branch_sign, min_eigenvalue, structure_for
 from .grid import ScalarField, integrate, require_finite
 
 
@@ -55,20 +55,53 @@ def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
     where the compatible metric is built from the opposite orientation of the
     almost-complex action (matching the branch adjustment of the ellipticity
     monitor)."""
-    st, W = w.structure, w.terms
-    # (WJ)[a, b] sums W[a, i] J[i, b] over the nonzeros of column b of J;
-    # every coframe's J has one per column, so this is a dense matmul's float.
-    # Below the diagonal W[a, i] = -W[i, a]: the sign goes on the J entry.
+    st, W, half = w.structure, w.terms, 0.5 * sign
     cols = [[(i, row[b]) for i, row in st.j_table.items() if b in row] for b in range(st.rank)]
-    WJ = lambda a, b: sum(W[a, i] * c if a < i else W[i, a] * -c
-                          for i, c in cols[b] if (min(a, i), max(a, i)) in W)
-    return min_eigenvalue(symmetric_part(WJ, st.rank, sign))
+
+    def products(a, b):
+        # the terms W[a, i] J[i, b] of (WJ)[a, b] over column b of J, which
+        # has one entry in every coframe, so this is a dense matmul's float;
+        # below the diagonal W[a, i] = -W[i, a], and the sign goes on the term
+        for i, c in cols[b]:
+            key, s = ((a, i), 1) if a < i else ((i, a), -1)
+            if key in W:
+                yield (key, c, s) if isinstance(c, np.ndarray) else (key, s * c, 1)
+
+    def entry(terms):
+        # half * ((WJ)[a, b] + (WJ)[b, a]), in place in the arrays formed here
+        total = 0.0
+        for k, (key, c, s) in enumerate(terms):
+            p = W[key] * c
+            if s < 0:
+                p *= -1.0
+            if k == 0:
+                total = p
+            elif isinstance(total, np.ndarray):
+                total += p
+            else:
+                p += total
+                total = p
+            del p
+        total *= half
+        return total
+
+    # entries formed from the same products are one array
+    formed: dict = {}
+    S = [[0.0] * st.rank for _ in range(st.rank)]
+    for a in range(st.rank):
+        for b in range(a, st.rank):
+            terms = [*products(a, b), *products(b, a)]
+            ident = tuple(sorted((k, s, id(c) if isinstance(c, np.ndarray) else c)
+                                 for k, c, s in terms))
+            if ident not in formed:
+                formed[ident] = entry(terms)
+            S[a][b] = S[b][a] = formed[ident]
+    return min_eigenvalue(S)
 
 
 def _potential_defect(d_a: nf.InvariantForm, w: nf.InvariantForm) -> float:
-    """Max coefficient of d(a) ^ w relative to omega^2."""
-    om = w.structure.omega
-    return nf.wedge(d_a, w).max_norm() / max(nf.wedge(om, om).max_norm(), 1.0)
+    """Max coefficient of d(a) ^ w relative to omega^2, one 4-form key at a time."""
+    return nf.wedge_max_norm(d_a, w) / max(w.structure.omega_square_norm, 1.0)
 
 
 def potential_defect(
@@ -105,8 +138,10 @@ def verify_solution(
     anti_norm, pot = nf.anti_invariant_norm(d_alpha), _potential_defect(d_a, w)
     del d_alpha, d_a  # w holds what it shares with d alpha; the checks below need no more
     ratio = nf.top_form_ratio(w)
-    topform = float(np.max(np.abs(ratio.values - np.exp(F.values))))
+    defect = np.exp(F.values)
+    topform = float(np.max(np.abs(np.subtract(ratio.values, defect, out=defect), out=defect)))
     volume = abs(integrate(ratio) - 1.0)
+    del defect, ratio
     margin = compatibility_margin(w, sign=branch_sign(spec))
     passed = bool(anti_norm <= tol and topform <= tol and volume <= tol and margin > 0.0)
     return VerificationReport(

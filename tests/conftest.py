@@ -87,6 +87,19 @@ def permutation_sign(perm):
     return sign
 
 
+def wedge_power_ratio(w):
+    """The top-form ratio of a 2-form by its wedge powers, w^n / omega^n:
+    the reference the Pfaffian route is checked against."""
+    from torus_ma import nilframe as nf
+
+    st = w.structure
+    wn, omn = w, st.omega
+    for _ in range(st.half_dim - 1):
+        wn, omn = nf.wedge(wn, w), nf.wedge(omn, st.omega)
+    top = tuple(range(st.rank))
+    return np.asarray(wn.terms.get(top, 0.0), dtype=float) / omn.terms[top]
+
+
 def small_field(grid, rng, scale=0.1, max_mode=2, axes=None):
     return random_trig_field(grid, rng, max_mode=max_mode, scale=scale, axes=axes)
 

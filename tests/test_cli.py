@@ -179,11 +179,20 @@ class TestReportTree:
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "report.txt"
             cli.write_report(p, tree)
-            # a text the report cannot write verbatim is a JSON string, and
-            # JSON reads a high surrogate escape followed by a low one as the
-            # single character they pair into; every other text reads back
-            # as written
-            assert cli.read_report(p) == json.loads(json.dumps(tree))
+            assert cli.read_report(p) == tree
+
+    @pytest.mark.parametrize("text", ["\ud800\udc00", "\ud83d\ude00", "\U0001F600",
+                                      "\\ud800", "a\u2028b\x85"])
+    def test_surrogate_pair_reads_back_as_two_characters(self, tmp_path, text):
+        # a high surrogate followed by a low one was written as a JSON string
+        # and read back as the one character they pair into, U+10000 for
+        # '\ud800\udc00'; a surrogate is now its own escape, other characters
+        # are written as themselves, and an escaped backslash before a u
+        # stays a backslash
+        p = tmp_path / "report.txt"
+        tree = {text: {"value": text}}
+        cli.write_report(p, tree)
+        assert cli.read_report(p) == tree
 
 
 class TestRunPipeline:

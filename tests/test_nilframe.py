@@ -15,7 +15,7 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import permutation_sign, rel_err
+from conftest import permutation_sign, rel_err, wedge_power_ratio
 
 
 def kt3(grid, warp=None):
@@ -445,6 +445,24 @@ class TestTopFormRatio:
         with pytest.raises(ValueError):
             nf.top_form_ratio(st.zero_form(1), st)
 
+    @pytest.mark.parametrize("n", [2, 3], ids=["rank4", "rank6"])
+    def test_top_form_ratio_takes_no_wedge(self, monkeypatch, rng, n):
+        # at rank 6 wedge(w, w) formed all fifteen 4-form coefficients; the
+        # ratio is now Pf(W) / Pf(omega) and agrees with the wedge powers
+        g = TorusGrid((16, 16, 16))
+        st = nf.nil_bundle(g, n, ("e1", "e2", "f1") if n == 2 else ("e1", "e2", "e3"))
+        u = random_trig_field(g, rng, max_mode=2, scale=0.05)
+        w = nf.ansatz_forms(u, st)[0]
+        want = wedge_power_ratio(w)
+
+        def refuse(*args):
+            raise AssertionError("wedge called")
+
+        monkeypatch.setattr(nf, "wedge", refuse)
+        monkeypatch.setattr(nf, "wedge_max_norm", refuse)
+        got = nf.top_form_ratio(w).values
+        assert rel_err(got, want) <= 1e-14
+
 
 class TestAlgebraProperties:
     @settings(max_examples=20, deadline=None)
@@ -523,3 +541,41 @@ class TestLagrangianIdentities:
             want = ((1 + s * (lam * A * ux - nu * C * uy + C * C * uyy))
                     * (1 + s * A * A * uxx) - (A * C * uxy) ** 2)
             assert rel_err(r.values, want) <= 1e-10
+
+
+def test_accumulator_never_writes_an_input(grid3, rng):
+    # the accumulator adds in place only into arrays it allocated: a bare
+    # input array stored on a key stays that array, unchanged, when a second
+    # term lands on the key, and no jet entry that ansatz_forms shares with
+    # its forms is written by the forms built from them
+    h = random_trig_field(grid3, rng, max_mode=2, scale=0.3, axes=(0, 2))
+    st = kt3(grid3, warp=h)
+    p, q = (random_trig_field(grid3, rng, max_mode=2).values for _ in range(2))
+    one, two = random_form(st, 1, rng), random_form(st, 2, rng)
+    u = random_trig_field(grid3, rng, max_mode=2, scale=0.1)
+    inputs = [p, q, u.values, *one.terms.values(), *two.terms.values(),
+              *(c for row in st.j_table.values() for c in row.values())]
+    before = [np.array(x, copy=True) for x in inputs]
+
+    out = nf._signed_sum(st, 2, [((0, 1), (p,)), ((1, 0), (q, 2.0)), ((0, 1), (q,)),
+                                 ((2, 3), (q,)), ((3, 2), (p, q))])
+    assert out.terms[(0, 1)] is not p
+    assert np.array_equal(out.terms[(0, 1)], p + -(q * 2.0) + q)
+    assert np.array_equal(out.terms[(2, 3)], q + -(p * q))
+    nf.wedge(one, two)
+    nf.wedge(two, one)
+    nf.wedge_max_norm(one, two)
+    nf.j_conjugate(two)
+    nf.anti_invariant_norm(two)
+    nf.top_form_ratio(two)
+    w, d_alpha, d_a = nf.ansatz_forms(u, st)
+    held = [w, d_alpha, d_a]
+    shared = [np.array(c, copy=True) for f in held for c in f.terms.values()]
+    nf.wedge(d_a, w)
+    nf.wedge_max_norm(d_a, w)
+    nf.anti_invariant_norm(d_alpha)
+    nf.top_form_ratio(w)
+    for x, y in zip(inputs, before):
+        assert np.array_equal(x, y)
+    for x, y in zip((c for f in held for c in f.terms.values()), shared):
+        assert np.array_equal(x, y)

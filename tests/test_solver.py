@@ -613,6 +613,22 @@ class TestGradientBound:
         assert sv._bound_constant(np.zeros(64), c) == pytest.approx(
             np.expm1(abs(c)) / abs(c), rel=1e-8, abs=0.0)
 
+    def test_large_twist_is_finite_or_inf(self):
+        # e^{cQ} and e^{+-cq} overflowed once |c| q passed about 700, and
+        # 0 * inf made the constant NaN; summed relative to e^{cQ(s)} it is
+        # finite wherever it fits in a float and inf beyond
+        x = np.arange(64) / 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (400.0, 600.0, 700.0, -700.0):
+                # the trapezoid rule errs by 4.5e-4 at |c| = 600 on 8192 points
+                assert sv._bound_constant(np.zeros(64), c) == pytest.approx(
+                    np.expm1(abs(c)) / abs(c), rel=1e-3, abs=0.0)
+            for c in (800.0, -800.0):
+                assert sv._bound_constant(np.zeros(64), c) == np.inf
+            for c in (700.0, -700.0):
+                assert not np.isnan(sv._bound_constant(0.3 * np.sin(2 * np.pi * x), c))
+
     def test_odd_size_keeps_its_top_mode(self):
         # an odd profile has no Nyquist bin: its top mode +-31 at n = 63 is
         # resampled whole, not halved, and h = 0.1 cos(2 pi 31 x) reaches
