@@ -10,8 +10,8 @@ structured-text report plus binary field dumps.  Modes:
   verify       re-check a dumped solution against a datum
   selftest     run the coframe identity suites and report the worst defects
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (a grid too large for the
+memory available included), 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -447,6 +447,10 @@ def _run_into(cfg: RunConfig, out: Path, t_start: float) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         tree.update(status="ConfigError", error_code="config", message=str(exc))
+    except MemoryError:  # the failed step's arrays are freed with its frames
+        message = "out of memory: the grid needs more memory than is available"
+        print(message, file=sys.stderr)
+        tree.update(status="OutOfMemory", error_code="config", message=message)
 
     tree["config"]["source"] = {k: v for k, v in cfg.raw.items() if k != "mode"}
     if artifacts:
@@ -486,7 +490,7 @@ def _selftest(seed: int) -> tuple[dict, bool]:
             w, da, _ = nf.ansatz_forms(u, st)
             worst_anti = max(worst_anti, nf.anti_invariant_norm(da) / max(1.0, da.max_norm()))
             worst_ratio = max(worst_ratio, _rel(
-                nf.top_form_ratio(w, st).values, eq.residual(spec, u).values))
+                nf.top_form_ratio(w).values, eq.residual(spec, u).values))
         results[f"{name}_anti_max"] = worst_anti
         results[f"{name}_ratio_max"] = worst_ratio
         ok = ok and worst_anti <= tol and worst_ratio <= tol

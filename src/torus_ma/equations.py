@@ -419,19 +419,6 @@ def residual(spec: EquationSpec, u: ScalarField) -> ScalarField:
     return evaluate(spec, u).residual
 
 
-def ndim_printed(spec: EquationSpec, u: ScalarField) -> ScalarField:
-    """The published n = 3 closed-form expression, implemented verbatim for
-    comparison: its first-order sign and correction terms disagree with the
-    exterior-algebra expansion, which is the residual of record."""
-    if spec.axis_names != ("x1", "x2", "x3", "y1"):
-        raise ValueError("the printed comparison form is stated for n = 3")
-    f = evaluate(spec, u)
-    M = _hessian_matrix(3, f, f[3, 3] - f[(3,)])
-    vals = (_det(M) - f[2, 2] * f[1, 3] ** 2 - f[1, 1] * f[2, 3] ** 2
-            - 2.0 * f[1, 2] * f[1, 3] * f[2, 3])
-    return ScalarField(u.grid, vals)
-
-
 _COMPLEX_STEP = 1e-30
 
 
@@ -507,4 +494,4 @@ def residual_geom(spec: EquationSpec, u: ScalarField) -> ScalarField:
     _check_grid(spec, u)
     st = structure_for(spec, u.grid)
     w = nf.ansatz_forms(u, st)[0]
-    return ScalarField(u.grid, np.exp(datum_log_weight(spec)) * nf.top_form_ratio(w, st).values)
+    return ScalarField(u.grid, np.exp(datum_log_weight(spec)) * nf.top_form_ratio(w).values)

@@ -178,12 +178,6 @@ class _SpectrumField(ScalarField):
         return np.fft.irfftn(self._hat, s=self.grid.sizes, axes=tuple(range(self.grid.d)))
 
 
-def from_function(grid: TorusGrid, fn) -> ScalarField:
-    """Sample a callable of the grid coordinates (broadcast arrays) into a field."""
-    vals = fn(*grid.coords)
-    return ScalarField(grid, np.broadcast_to(vals, grid.sizes).astype(np.float64))
-
-
 def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     """Spectral derivative along one axis, held by its half spectrum."""
     return _SpectrumField(f.grid, f.hat * f.grid.multiplier(axis, order))
@@ -223,9 +217,9 @@ def random_trig_field(
     max_mode: int = 3,
     scale: float = 1.0,
     axes: tuple[int, ...] | None = None,
-    mean_zero: bool = True,
 ) -> ScalarField:
-    """Random band-limited field: modes up to `max_mode` on the chosen axes.
+    """Random band-limited field of mean zero: modes up to `max_mode` on the
+    chosen axes.
 
     `scale` is the approximate max-norm of the result.  Restricting `axes`
     produces fields constant along the remaining directions.
@@ -252,6 +246,5 @@ def random_trig_field(
     amp = np.max(np.abs(vals))
     if amp > 0:
         vals = vals * (scale / amp)
-    if mean_zero:
-        vals = vals - np.mean(vals)
+    vals = vals - np.mean(vals)
     return ScalarField(grid, vals)

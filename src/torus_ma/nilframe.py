@@ -4,9 +4,9 @@ A `NilStructure` fixes a global invariant coframe, its structure constants
 (the exterior derivative of each coframe 1-form), an almost-complex action on
 the coframe (coefficients may be scalar fields), a symplectic form, and the
 expansion of each base-coordinate differential in the coframe.  Invariant
-forms carry coefficients sampled on the structure's torus grid; wedge,
-exterior derivative, J-action, (1,1)-splitting and top-form ratios are then
-exact up to grid roundoff.
+forms carry coefficients sampled on the structure's torus grid; wedge, the
+ansatz form and its differential, the anti-invariant norm and top-form
+ratios are then exact up to grid roundoff.
 
 Index conventions: a k-form is a map from strictly increasing label-index
 tuples to coefficients; sign bookkeeping is done by the operations, never by
@@ -136,10 +136,6 @@ class InvariantForm:
             if len(key) != self.degree or list(key) != sorted(set(key)):
                 raise ValueError(f"bad index tuple {key} for degree {self.degree}")
 
-    def coefficient(self, key: tuple[int, ...]) -> np.ndarray:
-        c = self.terms.get(tuple(key), 0.0)
-        return np.broadcast_to(np.asarray(c, dtype=float), self.structure.grid.sizes)
-
     def max_norm(self) -> float:
         if not self.terms:
             return 0.0
@@ -159,7 +155,7 @@ class NilStructure:
     coefficients; coord_forms[axis] expresses the differential of grid
     coordinate `axis` as {label: constant}.  `correction` lists the terms
     added to -J du by the scalar ansatz: (constant, label) contributes
-    constant * u * theta^label (see `ansatz_correction`).
+    constant * u * theta^label (see `correction_differential`).
     """
 
     labels: tuple[str, ...]
@@ -191,33 +187,8 @@ class NilStructure:
         return len(self.labels)
 
     @property
-    def half_dim(self) -> int:
-        return self.rank // 2
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    @property
     def omega(self) -> InvariantForm:
         return InvariantForm(self, 2, {k: float(v) for k, v in self.omega_terms.items()})
-
-    def zero_form(self, degree: int) -> InvariantForm:
-        return InvariantForm(self, degree, {})
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check J^2 = -1 on the coframe and J-invariance of omega, pointwise."""
-        J = self.j_table
-        for i in range(self.rank):
-            # J(J theta^i) + theta^i, which also catches a row of J that is missing
-            defect = _signed_sum(self, 1, [((i,), (1.0,))] + [
-                ((k,), (cij, cjk)) for j, cij in J.get(i, {}).items()
-                for k, cjk in J.get(j, {}).items()])
-            if defect.max_norm() > tol:
-                raise AssertionError(f"J^2 != -1 at coframe index {i}")
-        om = self.omega
-        defect = _signed_sum(self, 2, [*_j_images(om), *((I, (-c,)) for I, c in om.terms.items())])
-        if defect.max_norm() > tol:
-            raise AssertionError("omega is not J-invariant")
 
 
 def form_add(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -227,10 +198,6 @@ def form_add(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     for k, c in b.terms.items():
         terms[k] = terms[k] + c if k in terms else c
     return InvariantForm(a.structure, a.degree, terms)
-
-
-def form_sub(a: InvariantForm, b: InvariantForm) -> InvariantForm:
-    return form_add(a, form_scale(b, -1.0))
 
 
 def form_scale(a: InvariantForm, s: "np.ndarray | float") -> InvariantForm:
@@ -271,46 +238,12 @@ def _coefficient_differential(structure: NilStructure, f: ScalarField, I=()):
                 yield (label,) + I, (dvals, coeff)
 
 
-def exterior_derivative(a: InvariantForm) -> InvariantForm:
-    """d on invariant forms: coefficient differentials plus structure constants.
-
-    Coefficients may only depend on the base coordinates (the grid axes);
-    fiber directions are handled entirely by the structure constants, so the
-    Leibniz rule and d o d = 0 hold to grid roundoff.
-    """
-    st = a.structure
-
-    def contributions():
-        for I, c in a.terms.items():
-            if isinstance(c, np.ndarray):
-                yield from _coefficient_differential(st, _unchecked_field(st.grid, c), I)
-            yield from _structure_terms(st, I, c)
-
-    return _signed_sum(st, a.degree + 1, contributions())
-
-
 def _structure_terms(st: NilStructure, I: tuple[int, ...], c):
     """c * d(theta_I) as contributions, term by term via Leibniz: d passes
     pos 1-forms to reach theta_I[pos], and the 2-form d(theta_I[pos]) commutes."""
     for pos, lab in enumerate(I):
         for pair, v in st.d_table.get(lab, {}).items():
             yield pair + I[:pos] + I[pos + 1:], (-v if pos % 2 else v, c)
-
-
-def scalar_differential(structure: NilStructure, u: ScalarField) -> InvariantForm:
-    """du for a scalar on the base: partials paired with coordinate
-    differentials, taken from a transient spectrum of u."""
-    if not structure.grid.compatible(u.grid):
-        raise ValueError("scalar lives on a different grid than the structure")
-    return _signed_sum(structure, 1, _coefficient_differential(
-        structure, _unchecked_field(u.grid, u.values)))
-
-
-def apply_J(a: InvariantForm) -> InvariantForm:
-    """Termwise J-action on a 1-form through the structure's coframe table."""
-    if a.degree != 1:
-        raise ValueError("apply_J expects a 1-form")
-    return j_conjugate(a)
 
 
 def _j_images(a: InvariantForm):
@@ -322,25 +255,10 @@ def _j_images(a: InvariantForm):
             yield tuple(j for j, _ in images), (c, *(cij for _, cij in images))
 
 
-def j_conjugate(a: InvariantForm) -> InvariantForm:
-    """Apply J to every slot of a form (a(J., J.) for degree 2)."""
-    return _signed_sum(a.structure, a.degree, _j_images(a))
-
-
-def type_split(a: InvariantForm) -> tuple[InvariantForm, InvariantForm]:
-    """Split a 2-form into its J-invariant (1,1) part and the anti-invariant rest."""
-    if a.degree != 2:
-        raise ValueError("type_split expects a 2-form")
-    ja = j_conjugate(a)
-    inv = form_scale(form_add(a, ja), 0.5)
-    anti = form_scale(form_sub(a, ja), 0.5)
-    return inv, anti
-
-
 def anti_invariant_norm(a: InvariantForm) -> float:
     """Max coefficient of (a - J a) / 2, the anti-invariant part of a 2-form,
-    taken key by key from a and J a: neither part of `type_split`, nor J a
-    as a whole, is formed."""
+    taken key by key from a and J a: neither part of the split, nor J a as
+    a whole, is formed."""
     def half_max(k, ja_k):
         d = np.subtract(a.terms.get(k, 0.0), ja_k)
         return 0.5 * float(np.max(np.abs(d, out=d) if isinstance(d, np.ndarray) else abs(d)))
@@ -373,27 +291,17 @@ def _pfaffian(st: NilStructure, W: dict):
     return _signed_sum(st, st.rank, _matchings(W, top)).terms.get(top, 0.0)
 
 
-def top_form_ratio(w: InvariantForm, structure: NilStructure | None = None) -> ScalarField:
+def top_form_ratio(w: InvariantForm) -> ScalarField:
     """Scalar r with w^n = r * omega^n.  Both top powers are n! times a
     Pfaffian, so r = Pf(W) / Pf(omega) for the coefficient matrix W of w;
     no wedge power is formed."""
-    st = structure or w.structure
+    st = w.structure
     if w.degree != 2:
         raise ValueError("top_form_ratio expects a 2-form")
     denom = st.omega_pfaffian
     if denom == 0.0:
         raise ValueError("omega^n is degenerate")
     return ScalarField(st.grid, np.divide(_pfaffian(st, w.terms), denom))
-
-
-def ansatz_correction(u: ScalarField, structure: NilStructure) -> InvariantForm:
-    """a(u): the structure's correction terms, constant multiples of u.
-
-    They are the unique constant-coefficient multiples of u making the
-    differential of -J du + a(u) J-invariant for every u on the base.
-    """
-    return InvariantForm(structure, 1, {(label,): coeff * u.values
-                                        for coeff, label in structure.correction})
 
 
 def correction_differential(u: ScalarField, du: InvariantForm) -> InvariantForm:
@@ -407,12 +315,6 @@ def correction_differential(u: ScalarField, du: InvariantForm) -> InvariantForm:
     return form_add(wedge(du, theta_c), form_scale(d_theta_c, u.values)).prune()
 
 
-def ansatz_one_form(u: ScalarField, structure: NilStructure) -> InvariantForm:
-    """The scalar-potential 1-form alpha = -J du + a(u)."""
-    du = scalar_differential(structure, u)
-    return form_add(form_scale(apply_J(du), -1.0), ansatz_correction(u, structure)).prune()
-
-
 def ansatz_forms(u: ScalarField, structure: NilStructure
                  ) -> tuple[InvariantForm, InvariantForm, InvariantForm]:
     """(omega + d alpha, d alpha, d a(u)) for alpha = -J du + a(u), from one
@@ -421,8 +323,8 @@ def ansatz_forms(u: ScalarField, structure: NilStructure
     structure terms of -J du, taken from du's terms and J's entries, and
     d a(u) is `correction_differential`.  A field entry k of J (the warped
     e^{+-h} pair) has no Leibniz rule on the grid: u_a k is differentiated
-    as one coefficient, as `exterior_derivative` does.  Each u_ab is formed
-    on its first read and dropped after its last."""
+    as one coefficient.  Each u_ab is formed on its first read and dropped
+    after its last."""
     st = structure
     if not st.grid.compatible(u.grid):
         raise ValueError("scalar lives on a different grid than the structure")

@@ -35,17 +35,6 @@ class VerificationReport:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def reconstruct_form(
-    u: ScalarField,
-    spec: EquationSpec,
-    structure: nf.NilStructure | None = None,
-) -> nf.InvariantForm:
-    """omega + d(alpha(u)) on the family's coframe structure."""
-    require_finite(u)
-    st = structure if structure is not None else structure_for(spec, u.grid)
-    return nf.ansatz_forms(u, st)[0]
-
-
 def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
     """Min over the grid of the smallest eigenvalue of the symmetrized
     pairing w(., J.); positive iff w tames and is compatible with J.  Exact:
@@ -102,20 +91,6 @@ def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
 def _potential_defect(d_a: nf.InvariantForm, w: nf.InvariantForm) -> float:
     """Max coefficient of d(a) ^ w relative to omega^2, one 4-form key at a time."""
     return nf.wedge_max_norm(d_a, w) / max(w.structure.omega_square_norm, 1.0)
-
-
-def potential_defect(
-    u: ScalarField,
-    spec: EquationSpec,
-    structure: nf.NilStructure | None = None,
-) -> float:
-    """Max coefficient of d(a) ^ w relative to omega^2, where a is the ansatz
-    correction (the part of alpha beyond -J du); zero exactly when u is a
-    potential for the reconstructed form."""
-    require_finite(u)
-    st = structure if structure is not None else structure_for(spec, u.grid)
-    w, _, d_a = nf.ansatz_forms(u, st)
-    return _potential_defect(d_a, w)
 
 
 def verify_solution(

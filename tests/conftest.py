@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torus_ma.grid import TorusGrid, random_trig_field
+from torus_ma.grid import ScalarField, TorusGrid, random_trig_field
 
 
 @pytest.fixture
@@ -19,6 +19,12 @@ def grid2():
 @pytest.fixture
 def grid3():
     return TorusGrid((16, 16, 16))
+
+
+def from_function(grid, fn):
+    """Sample a callable of the grid coordinates (broadcast arrays) into a field."""
+    vals = fn(*grid.coords)
+    return ScalarField(grid, np.broadcast_to(vals, grid.sizes).astype(np.float64))
 
 
 def rel_err(a, b):
@@ -94,7 +100,7 @@ def wedge_power_ratio(w):
 
     st = w.structure
     wn, omn = w, st.omega
-    for _ in range(st.half_dim - 1):
+    for _ in range(st.rank // 2 - 1):
         wn, omn = nf.wedge(wn, w), nf.wedge(omn, st.omega)
     top = tuple(range(st.rank))
     return np.asarray(wn.terms.get(top, 0.0), dtype=float) / omn.terms[top]
@@ -107,7 +113,7 @@ def small_field(grid, rng, scale=0.1, max_mode=2, axes=None):
 def branch_safe_field(grid, rng, max_mode=2, hessian_scale=0.3, axes=None):
     """Random trig field rescaled so its largest second derivative has the
     given magnitude (keeps determinant-type residuals on the elliptic branch)."""
-    from torus_ma.grid import ScalarField, mixed_derivative
+    from torus_ma.grid import mixed_derivative
 
     f = random_trig_field(grid, rng, max_mode=max_mode, scale=1.0, axes=axes)
     worst = max(

@@ -1,7 +1,7 @@
-"""Every public module-level function of the package has a reader: another
-function in the package, the public API in `torus_ma.__all__`, one of the
-independent oracles that the acceptance tests compare against, or the
-benchmark's report parser."""
+"""Every public function, method and property of the package has a reader:
+another part of the package, the public API in `torus_ma.__all__`, or the
+benchmark's report parser.  The references the tests compare against live
+in tests/oracles.py, not in the package."""
 
 import ast
 from pathlib import Path
@@ -13,36 +13,55 @@ import torus_ma
 SRC = Path(torus_ma.__file__).parent
 TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
-# read by tests/test_acceptance.py as references built apart from the solver
-ORACLES = {"from_function", "ansatz_one_form", "reconstruct_form", "ndim_printed",
-           "exterior_derivative", "type_split"}
 # read by the benchmark, which checks the status of each CLI run it makes
 BENCHMARK = {"read_report"}
 
 
 def _names(node) -> set:
-    """Every name a top-level statement reads, bare or as an attribute."""
+    """Every name a node reads, bare or as an attribute; a name that is
+    only assigned, such as a dataclass field, is not read."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out.add(sub.attr)
     return out
 
 
+def _units(tree) -> list:
+    """The top-level statements, with each class split into its members,
+    so that a method's reference to itself is told apart from its class's."""
+    return [unit for node in tree.body
+            for unit in (node.body if isinstance(node, ast.ClassDef) else [node])]
+
+
+UNITS = [unit for tree in TREES.values() for unit in _units(tree)]
+READS = {id(unit): _names(unit) for unit in UNITS}
+
+
+def _public(module) -> list:
+    """(qualified name, definition) of each public function of `module`, and
+    of each public method or property of its public classes."""
+    out = []
+    for node in TREES[module].body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)]
+    return [(qual, fn) for qual, fn in out if not fn.name.startswith("_")]
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_public_function_has_a_reader(module):
-    statements = [node for tree in TREES.values() for node in tree.body]
-    read = {id(node): _names(node) for node in statements}
     unread = []
-    for fn in TREES[module].body:
-        if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
-                or fn.name in torus_ma.__all__ or fn.name in ORACLES | BENCHMARK):
+    for qual, fn in _public(module):
+        if fn.name in torus_ma.__all__ or fn.name in BENCHMARK:
             continue
         # a function's reference to itself is no caller
-        if not any(fn.name in read[id(node)] for node in statements if node is not fn):
-            unread.append(fn.name)
+        if not any(fn.name in READS[id(unit)] for unit in UNITS if unit is not fn):
+            unread.append(qual)
     assert unread == [], f"{module}: public functions no one reads: {unread}"
 
 

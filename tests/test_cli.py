@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from torus_ma import cli, dumpio
 from torus_ma import equations as eq
-from torus_ma.grid import ScalarField, TorusGrid, from_function
+from torus_ma import nilframe as nf
+from torus_ma.grid import ScalarField, TorusGrid
 from torus_ma.solver import SolverConfig
 
-from conftest import rel_err
+from conftest import from_function, rel_err
 
 
 def write_config(path, **kwargs):
@@ -605,6 +606,32 @@ def assert_config_error(code, report):
     assert code == 2
     tree = cli.read_report(report)
     assert (tree["status"], tree["error_code"]) == ("ConfigError", "config")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+class TestOutOfMemory:
+    # a grid within the point budget can still outgrow the memory at hand:
+    # STDMA at 4096^2 under a virtual-memory limit ended in a NumPy
+    # traceback, exit 1 and an empty output directory.  Each mode's inner
+    # call raises here, with no real allocation
+    @pytest.mark.parametrize("mode, module, name, body", [
+        ("manufacture", eq, "manufactured_datum", STDMA_8),
+        ("solve", cli, "continuity_solve", STDMA_8),
+        ("verify", cli, "verify_solution", {**STDMA_8, "solution": {"expr": "0"}}),
+        ("selftest", nf, "ansatz_forms", {"seed": 0}),
+    ], ids=["manufacture", "solve", "verify", "selftest"])
+    def test_out_of_memory_exits_two_with_report(self, tmp_path, capsys, monkeypatch,
+                                                 mode, module, name, body):
+        monkeypatch.setattr(module, name, _out_of_memory)
+        code, report = run_config(tmp_path, mode, body)
+        assert code == 2
+        tree = cli.read_report(report)
+        assert (tree["status"], tree["error_code"]) == ("OutOfMemory", "config")
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "Traceback" not in err
 
 
 class TestConfigKeys:

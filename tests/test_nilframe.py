@@ -10,12 +10,13 @@ from torus_ma.grid import (
     ScalarField,
     TorusGrid,
     derivative,
-    from_function,
     mixed_derivative,
     random_trig_field,
 )
 
-from conftest import permutation_sign, rel_err, wedge_power_ratio
+from conftest import from_function, permutation_sign, rel_err, wedge_power_ratio
+from oracles import (ansatz_one_form, coefficient, exterior_derivative, j_conjugate, type_split,
+                     validate)
 
 
 def kt3(grid, warp=None):
@@ -35,16 +36,16 @@ def random_form(st, degree, rng, scale=1.0):
 
 class TestStructures:
     def test_flat_structure_valid(self, grid3):
-        kt3(grid3).validate()
+        validate(kt3(grid3))
 
     def test_warped_structure_valid(self, grid3, rng):
         h = random_trig_field(grid3, rng, max_mode=2, scale=0.5, axes=(0, 2))
-        kt3(grid3, warp=h).validate()
+        validate(kt3(grid3, warp=h))
 
     def test_lagrangian_structures_valid(self, grid2, rng):
         for s in (1, -1):
-            nf.lagrangian_coframe_xx(grid2, 1.3, 0.8, 0.5, -0.7, sign=s).validate()
-            nf.lagrangian_coframe_xy(grid2, 1.3, 0.8, 0.5, 0.3, -0.7, sign=s).validate()
+            validate(nf.lagrangian_coframe_xx(grid2, 1.3, 0.8, 0.5, -0.7, sign=s))
+            validate(nf.lagrangian_coframe_xy(grid2, 1.3, 0.8, 0.5, 0.3, -0.7, sign=s))
 
     def test_missing_j_row_fails_validation(self, grid3):
         # J^2 was checked only on the images J has, so a coframe index whose
@@ -52,21 +53,21 @@ class TestStructures:
         st = kt3(grid3)
         st.j_table = {i: row for i, row in st.j_table.items() if i != 3}
         with pytest.raises(AssertionError, match=r"J\^2 != -1"):
-            st.validate()
+            validate(st)
 
     def test_bundle_structure_valid(self):
         g = TorusGrid((8, 8, 8, 8))
-        nf.nil_bundle(g, 3, ("e1", "e2", "e3", "f1")).validate()
+        validate(nf.nil_bundle(g, 3, ("e1", "e2", "e3", "f1")))
 
     def test_structure_equations_flat(self, grid3):
         # the only non-closed coframe direction: d f2 = -e1 ^ e2
         st = kt3(grid3)
         for lab in ("e1", "e2", "f1"):
-            basis = nf.InvariantForm(st, 1, {(st.index(lab),): 1.0})
-            assert nf.exterior_derivative(basis).max_norm() == 0.0
-        df2 = nf.exterior_derivative(nf.InvariantForm(st, 1, {(st.index("f2"),): 1.0}))
+            basis = nf.InvariantForm(st, 1, {(st.labels.index(lab),): 1.0})
+            assert exterior_derivative(basis).max_norm() == 0.0
+        df2 = exterior_derivative(nf.InvariantForm(st, 1, {(st.labels.index("f2"),): 1.0}))
         assert df2.terms.keys() == {(0, 1)}
-        assert np.max(np.abs(df2.coefficient((0, 1)) + 1.0)) == 0.0
+        assert np.max(np.abs(coefficient(df2, (0, 1)) + 1.0)) == 0.0
 
     @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
     def test_kodaira_thurston_is_the_n2_bundle(self, grid3, rng, warped):
@@ -94,13 +95,13 @@ class TestStructures:
         g = TorusGrid((8, 8, 8, 8))
         st = nf.nil_bundle(g, 3, ("e1", "e2", "e3", "f1"))
         for lab in ("e1", "e2", "e3", "f1"):
-            basis = nf.InvariantForm(st, 1, {(st.index(lab),): 1.0})
-            assert nf.exterior_derivative(basis).max_norm() == 0.0
+            basis = nf.InvariantForm(st, 1, {(st.labels.index(lab),): 1.0})
+            assert exterior_derivative(basis).max_norm() == 0.0
         for k in (2, 3):
-            dfk = nf.exterior_derivative(
-                nf.InvariantForm(st, 1, {(st.index(f"f{k}"),): 1.0}))
+            dfk = exterior_derivative(
+                nf.InvariantForm(st, 1, {(st.labels.index(f"f{k}"),): 1.0}))
             # d f_k = e_k ^ e_1 = -(e_1 ^ e_k)
-            assert np.max(np.abs(dfk.coefficient((0, k - 1)) + 1.0)) == 0.0
+            assert np.max(np.abs(coefficient(dfk, (0, k - 1)) + 1.0)) == 0.0
 
 
 class TestWedge:
@@ -111,7 +112,7 @@ class TestWedge:
         om2 = nf.wedge(st.omega, st.omega)
         assert set(om2.terms) == {(0, 1, 2, 3)}
         sign = permutation_sign([0, 2, 1, 3])
-        assert np.max(np.abs(om2.coefficient((0, 1, 2, 3)) - 2.0 * sign)) == 0.0
+        assert np.max(np.abs(coefficient(om2, (0, 1, 2, 3)) - 2.0 * sign)) == 0.0
 
     def test_self_wedge_of_one_form_vanishes(self, grid3):
         st = kt3(grid3)
@@ -127,13 +128,13 @@ class TestWedge:
         b = nf.InvariantForm(st, 2, {(2, 3): q})
         w = nf.wedge(a, b)
         sign = permutation_sign([0, 1, 2, 3])
-        assert np.max(np.abs(w.coefficient((0, 1, 2, 3)) - sign * q * q)) == 0.0
+        assert np.max(np.abs(coefficient(w, (0, 1, 2, 3)) - sign * q * q)) == 0.0
         # and against the sorted key of the interleaved product
         c = nf.InvariantForm(st, 2, {(0, 2): q})
         d = nf.InvariantForm(st, 2, {(1, 3): q})
         w2 = nf.wedge(c, d)
         sign2 = permutation_sign([0, 2, 1, 3])
-        assert np.max(np.abs(w2.coefficient((0, 1, 2, 3)) - sign2 * q * q)) == 0.0
+        assert np.max(np.abs(coefficient(w2, (0, 1, 2, 3)) - sign2 * q * q)) == 0.0
 
     def test_antisymmetry_exhaustive(self):
         # wedge(a, b) = (-1)^{pq} wedge(b, a) for all basis pairs, n = 3
@@ -147,7 +148,7 @@ class TestWedge:
                         b = nf.InvariantForm(st, q, {J: 1.0})
                         ab = nf.wedge(a, b)
                         ba = nf.form_scale(nf.wedge(b, a), (-1.0) ** (p * q))
-                        assert nf.form_sub(ab, ba).max_norm() == 0.0
+                        assert nf.form_add(ab, nf.form_scale(ba, -1.0)).max_norm() == 0.0
 
     def test_degree_overflow_returns_zero_form(self, grid3):
         st = kt3(grid3)
@@ -199,12 +200,13 @@ class TestSignedSum:
         assert nf._signed_sum(st, 2, [((0, 1), (q,)), ((1, 0), (q,))]).terms == {}
 
     def test_operations_build_no_form_per_term(self, monkeypatch, grid3, rng):
-        # exterior_derivative, j_conjugate, apply_J and scalar_differential
-        # go through the accumulator: no wedge, form_add or form_scale, and
+        # exterior_derivative (du of a 0-form included) and j_conjugate go
+        # through the accumulator: no wedge, form_add or form_scale, and
         # only the accumulator's two forms per call
         h = random_trig_field(grid3, rng, max_mode=2, scale=0.4, axes=(0, 2))
         st = kt3(grid3, warp=h)
         u = random_trig_field(grid3, rng, max_mode=2, scale=1.0)
+        zero = nf.InvariantForm(st, 0, {(): u.values})
         one, two = random_form(st, 1, rng), random_form(st, 2, rng)
         for name in ("wedge", "form_add", "form_scale"):
             def refuse(*args, _name=name):
@@ -212,15 +214,14 @@ class TestSignedSum:
             monkeypatch.setattr(nf, name, refuse)
         built = []
         monkeypatch.setattr(nf.InvariantForm, "__post_init__", lambda self: built.append(1))
-        for op in (lambda: nf.exterior_derivative(one), lambda: nf.exterior_derivative(two),
-                   lambda: nf.j_conjugate(two), lambda: nf.apply_J(one),
-                   lambda: nf.scalar_differential(st, u)):
+        for op in (lambda: exterior_derivative(zero), lambda: exterior_derivative(one),
+                   lambda: exterior_derivative(two), lambda: j_conjugate(two)):
             built.clear()
             op()
             assert len(built) == 2
         # validate: two per coframe index, omega, and two for its J-invariance
         built.clear()
-        st.validate()
+        validate(st)
         assert len(built) == 2 * st.rank + 3
 
 
@@ -230,12 +231,12 @@ class TestExteriorDerivative:
         for p, q in [(1, 1), (1, 2), (2, 1)]:
             a = random_form(st, p, rng)
             b = random_form(st, q, rng)
-            lhs = nf.exterior_derivative(nf.wedge(a, b))
+            lhs = exterior_derivative(nf.wedge(a, b))
             rhs = nf.form_add(
-                nf.wedge(nf.exterior_derivative(a), b),
-                nf.form_scale(nf.wedge(a, nf.exterior_derivative(b)), (-1.0) ** p))
+                nf.wedge(exterior_derivative(a), b),
+                nf.form_scale(nf.wedge(a, exterior_derivative(b)), (-1.0) ** p))
             scale = max(1.0, lhs.max_norm())
-            assert nf.form_sub(lhs, rhs).max_norm() <= 1e-11 * scale
+            assert nf.form_add(lhs, nf.form_scale(rhs, -1.0)).max_norm() <= 1e-11 * scale
 
     def test_nilpotency_every_degree(self, grid3, rng):
         h = random_trig_field(grid3, rng, max_mode=1, scale=0.3, axes=(0, 2))
@@ -243,7 +244,7 @@ class TestExteriorDerivative:
             for degree in (0, 1, 2):
                 a = random_form(st, degree, rng) if degree else nf.InvariantForm(
                     st, 0, {(): random_trig_field(grid3, rng, max_mode=2).values})
-                dd = nf.exterior_derivative(nf.exterior_derivative(a))
+                dd = exterior_derivative(exterior_derivative(a))
                 assert dd.max_norm() <= 1e-10
 
     def test_coefficient_times_e1(self, rng):
@@ -251,18 +252,18 @@ class TestExteriorDerivative:
         g = TorusGrid((16, 16, 16))
         st = kt3(g)
         u = random_trig_field(g, rng, max_mode=3, scale=1.0, axes=(1,))
-        du_e1 = nf.exterior_derivative(nf.InvariantForm(st, 1, {(0,): u.values}))
+        du_e1 = exterior_derivative(nf.InvariantForm(st, 1, {(0,): u.values}))
         ux2 = derivative(u, 1, 1).values
-        assert rel_err(du_e1.coefficient((0, 1)), -ux2) < 1e-12
+        assert rel_err(coefficient(du_e1, (0, 1)), -ux2) < 1e-12
         for key in du_e1.terms:
             if key != (0, 1):
-                assert np.max(np.abs(du_e1.coefficient(key))) < 1e-12
+                assert np.max(np.abs(coefficient(du_e1, key))) < 1e-12
 
     def test_dd_u_f2(self, grid3, rng):
         st = kt3(grid3)
         u = random_trig_field(grid3, rng, max_mode=2, scale=1.0)
         a = nf.InvariantForm(st, 1, {(3,): u.values})
-        assert nf.exterior_derivative(nf.exterior_derivative(a)).max_norm() <= 1e-10
+        assert exterior_derivative(exterior_derivative(a)).max_norm() <= 1e-10
 
 
 class TestJAction:
@@ -270,48 +271,45 @@ class TestJAction:
         # -J du = u_x1 f1 + u_x2 f2 - u_y1 e1
         st = kt3(grid3)
         u = random_trig_field(grid3, rng, max_mode=2, scale=1.0)
-        mjdu = nf.form_scale(nf.apply_J(nf.scalar_differential(st, u)), -1.0)
-        assert rel_err(mjdu.coefficient((2,)), derivative(u, 0, 1).values) < 1e-12
-        assert rel_err(mjdu.coefficient((3,)), derivative(u, 1, 1).values) < 1e-12
-        assert rel_err(mjdu.coefficient((0,)), -derivative(u, 2, 1).values) < 1e-12
+        du = exterior_derivative(nf.InvariantForm(st, 0, {(): u.values}))
+        mjdu = nf.form_scale(j_conjugate(du), -1.0)
+        assert rel_err(coefficient(mjdu, (2,)), derivative(u, 0, 1).values) < 1e-12
+        assert rel_err(coefficient(mjdu, (3,)), derivative(u, 1, 1).values) < 1e-12
+        assert rel_err(coefficient(mjdu, (0,)), -derivative(u, 2, 1).values) < 1e-12
 
     def test_warped_j_on_scalar_differential(self, grid3, rng):
         # -J du = e^h u_x1 f1 + u_x2 f2 - e^-h u_y1 e1
         h = random_trig_field(grid3, rng, max_mode=2, scale=0.4, axes=(0, 2))
         st = kt3(grid3, warp=h)
         u = random_trig_field(grid3, rng, max_mode=2, scale=1.0)
-        mjdu = nf.form_scale(nf.apply_J(nf.scalar_differential(st, u)), -1.0)
+        du = exterior_derivative(nf.InvariantForm(st, 0, {(): u.values}))
+        mjdu = nf.form_scale(j_conjugate(du), -1.0)
         eh = np.exp(h.values)
-        assert rel_err(mjdu.coefficient((2,)), eh * derivative(u, 0, 1).values) < 1e-12
-        assert rel_err(mjdu.coefficient((3,)), derivative(u, 1, 1).values) < 1e-12
-        assert rel_err(mjdu.coefficient((0,)), -derivative(u, 2, 1).values / eh) < 1e-12
+        assert rel_err(coefficient(mjdu, (2,)), eh * derivative(u, 0, 1).values) < 1e-12
+        assert rel_err(coefficient(mjdu, (3,)), derivative(u, 1, 1).values) < 1e-12
+        assert rel_err(coefficient(mjdu, (0,)), -derivative(u, 2, 1).values / eh) < 1e-12
 
     def test_j_squares_to_minus_one(self, grid3, rng):
         h = random_trig_field(grid3, rng, max_mode=2, scale=0.5, axes=(0, 2))
         st = kt3(grid3, warp=h)
         e1 = nf.InvariantForm(st, 1, {(0,): 1.0})
-        jje1 = nf.apply_J(nf.apply_J(e1))
+        jje1 = j_conjugate(j_conjugate(e1))
         assert nf.form_add(jje1, e1).max_norm() <= 1e-13
-
-    def test_degree_restriction(self, grid3):
-        st = kt3(grid3)
-        with pytest.raises(ValueError):
-            nf.apply_J(st.omega)
 
 
 class TestTypeSplit:
     def test_omega_term_is_type_1_1(self, grid3):
         st = kt3(grid3)
         e1f1 = nf.InvariantForm(st, 2, {(0, 2): 1.0})
-        inv, anti = nf.type_split(e1f1)
+        inv, anti = type_split(e1f1)
         assert anti.max_norm() == 0.0
-        assert nf.form_sub(inv, e1f1).max_norm() == 0.0
+        assert nf.form_add(inv, nf.form_scale(e1f1, -1.0)).max_norm() == 0.0
 
     def test_ansatz_differential_is_type_1_1(self, grid3, rng):
         st = kt3(grid3)
         u = random_trig_field(grid3, rng, max_mode=2, scale=0.3)
-        da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
-        _, anti = nf.type_split(da)
+        da = exterior_derivative(ansatz_one_form(u, st))
+        _, anti = type_split(da)
         assert anti.max_norm() <= 1e-10 * max(1.0, da.max_norm())
 
     def test_uncorrected_differential_fails_type(self):
@@ -320,17 +318,18 @@ class TestTypeSplit:
         g = TorusGrid((16, 16, 16))
         st = kt3(g)
         u = from_function(g, lambda x1, x2, y1: np.sin(2 * np.pi * x2))
-        mjdu = nf.form_scale(nf.apply_J(nf.scalar_differential(st, u)), -1.0)
-        _, anti = nf.type_split(nf.exterior_derivative(mjdu))
+        du = exterior_derivative(nf.InvariantForm(st, 0, {(): u.values}))
+        mjdu = nf.form_scale(j_conjugate(du), -1.0)
+        _, anti = type_split(exterior_derivative(mjdu))
         assert anti.max_norm() > 0.1 * derivative(u, 1, 1).max_norm() / (2 * np.pi)
 
     def test_split_reassembles(self, grid3, rng):
         st = kt3(grid3)
         a = random_form(st, 2, rng)
-        inv, anti = nf.type_split(a)
-        assert nf.form_sub(nf.form_add(inv, anti), a).max_norm() <= 1e-12
+        inv, anti = type_split(a)
+        assert nf.form_add(nf.form_add(inv, anti), nf.form_scale(a, -1.0)).max_norm() <= 1e-12
         with pytest.raises(ValueError):
-            nf.type_split(st.zero_form(1))
+            type_split(nf.InvariantForm(st, 1))
 
     @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
     def test_anti_invariant_norm_matches_split(self, grid3, rng, warped):
@@ -339,8 +338,8 @@ class TestTypeSplit:
         st = kt3(grid3, warp)
         for _ in range(3):
             a = random_form(st, 2, rng)
-            assert nf.anti_invariant_norm(a) == nf.type_split(a)[1].max_norm()
-        assert nf.anti_invariant_norm(st.zero_form(2)) == 0.0
+            assert nf.anti_invariant_norm(a) == type_split(a)[1].max_norm()
+        assert nf.anti_invariant_norm(nf.InvariantForm(st, 2)) == 0.0
         assert nf.anti_invariant_norm(st.omega) <= 1e-15  # e^h e^-h is 1 to roundoff
 
 
@@ -350,7 +349,7 @@ class TestDisplayedCoefficients:
     def test_flat_differential_table(self, grid3, rng):
         st = kt3(grid3)
         u = random_trig_field(grid3, rng, max_mode=2, scale=0.5)
-        da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
+        da = exterior_derivative(ansatz_one_form(u, st))
         d2 = {(i, j): mixed_derivative(u, i, j).values for i in range(3) for j in range(3)}
         uy1 = derivative(u, 2, 1).values
         # labels: e1=0, e2=1, f1=2, f2=3
@@ -363,67 +362,67 @@ class TestDisplayedCoefficients:
             (2, 3): d2[(1, 2)],
         }
         for key, vals in want.items():
-            assert rel_err(da.coefficient(key), vals) < 1e-11
+            assert rel_err(coefficient(da, key), vals) < 1e-11
 
     def test_uncorrected_cross_terms(self, grid3, rng):
         # -d J du carries the u_x2y1 pair plus the -u_x2 e1^e2 obstruction
         st = kt3(grid3)
         u = random_trig_field(grid3, rng, max_mode=2, scale=0.5)
-        mdjdu = nf.exterior_derivative(
-            nf.form_scale(nf.apply_J(nf.scalar_differential(st, u)), -1.0))
+        du = exterior_derivative(nf.InvariantForm(st, 0, {(): u.values}))
+        mdjdu = exterior_derivative(nf.form_scale(j_conjugate(du), -1.0))
         ux2 = derivative(u, 1, 1).values
         ux2y1 = mixed_derivative(u, 1, 2).values
-        assert rel_err(mdjdu.coefficient((2, 3)), ux2y1) < 1e-11
-        assert rel_err(mdjdu.coefficient((0, 1)), ux2y1 - ux2) < 1e-11
+        assert rel_err(coefficient(mdjdu, (2, 3)), ux2y1) < 1e-11
+        assert rel_err(coefficient(mdjdu, (0, 1)), ux2y1 - ux2) < 1e-11
 
     def test_warped_differential_table(self, grid3, rng):
         h = random_trig_field(grid3, rng, max_mode=1, scale=0.3, axes=(0, 2))
         st = kt3(grid3, warp=h)
         u = random_trig_field(grid3, rng, max_mode=1, scale=0.5)
-        da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
+        da = exterior_derivative(ansatz_one_form(u, st))
         eh = np.exp(h.values)
         ux1 = derivative(u, 0, 1)
         uy1 = derivative(u, 2, 1)
         principal = (derivative(ScalarField(grid3_ := u.grid, eh * ux1.values), 0, 1).values
                      + derivative(ScalarField(grid3_, uy1.values / eh), 2, 1).values
                      + uy1.values)
-        assert rel_err(da.coefficient((0, 2)), principal) < 1e-11
-        assert rel_err(da.coefficient((1, 2)), eh * mixed_derivative(u, 0, 1).values) < 1e-11
-        assert rel_err(da.coefficient((0, 3)), mixed_derivative(u, 0, 1).values) < 1e-11
-        assert rel_err(da.coefficient((0, 1)),
+        assert rel_err(coefficient(da, (0, 2)), principal) < 1e-11
+        assert rel_err(coefficient(da, (1, 2)), eh * mixed_derivative(u, 0, 1).values) < 1e-11
+        assert rel_err(coefficient(da, (0, 3)), mixed_derivative(u, 0, 1).values) < 1e-11
+        assert rel_err(coefficient(da, (0, 1)),
                        mixed_derivative(u, 1, 2).values / eh) < 1e-11
-        assert rel_err(da.coefficient((2, 3)), mixed_derivative(u, 1, 2).values) < 1e-11
+        assert rel_err(coefficient(da, (2, 3)), mixed_derivative(u, 1, 2).values) < 1e-11
 
 
 class TestAnsatz:
     def test_zero_scalar_gives_zero_form(self, grid3):
         st = kt3(grid3)
         zero = ScalarField(grid3, np.zeros(grid3.sizes))
-        assert nf.ansatz_one_form(zero, st).max_norm() == 0.0
+        assert ansatz_one_form(zero, st).max_norm() == 0.0
 
     def test_bundle_ansatz_terms(self, rng):
         # alpha = -J du - u e1 on the higher-dimensional bundle
         g = TorusGrid((8, 8, 8, 8))
         st = nf.nil_bundle(g, 3, ("e1", "e2", "e3", "f1"))
         u = random_trig_field(g, rng, max_mode=1, scale=0.5)
-        alpha = nf.ansatz_one_form(u, st)
+        alpha = ansatz_one_form(u, st)
         # f-components carry the x-partials, e1 carries -u_y1 - u
         for k in range(3):
-            assert rel_err(alpha.coefficient((3 + k,)), derivative(u, k, 1).values) < 1e-12
-        assert rel_err(alpha.coefficient((0,)),
+            assert rel_err(coefficient(alpha, (3 + k,)), derivative(u, k, 1).values) < 1e-12
+        assert rel_err(coefficient(alpha, (0,)),
                        -derivative(u, 3, 1).values - u.values) < 1e-12
 
     def test_scalar_on_wrong_grid_rejected(self, grid3):
         st = kt3(grid3)
         other = ScalarField(TorusGrid((16, 16)), np.zeros((16, 16)))
         with pytest.raises(ValueError):
-            nf.ansatz_one_form(other, st)
+            nf.ansatz_forms(other, st)
 
 
 class TestTopFormRatio:
     def test_omega_ratio_is_one(self, grid3):
         st = kt3(grid3)
-        r = nf.top_form_ratio(st.omega, st)
+        r = nf.top_form_ratio(st.omega)
         assert np.max(np.abs(r.values - 1.0)) == 0.0
 
     def test_flat_identity(self, grid3, rng):
@@ -431,8 +430,8 @@ class TestTopFormRatio:
         st = kt3(grid3)
         for _ in range(10):
             u = random_trig_field(grid3, rng, max_mode=2, scale=0.3)
-            da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
-            r = nf.top_form_ratio(nf.form_add(st.omega, da), st)
+            da = exterior_derivative(ansatz_one_form(u, st))
+            r = nf.top_form_ratio(nf.form_add(st.omega, da))
             a11 = (1.0 + mixed_derivative(u, 0, 0).values
                    + mixed_derivative(u, 2, 2).values + derivative(u, 2, 1).values)
             want = (a11 * (1.0 + mixed_derivative(u, 1, 1).values)
@@ -443,7 +442,7 @@ class TestTopFormRatio:
     def test_degree_restriction(self, grid3):
         st = kt3(grid3)
         with pytest.raises(ValueError):
-            nf.top_form_ratio(st.zero_form(1), st)
+            nf.top_form_ratio(nf.InvariantForm(st, 1))
 
     @pytest.mark.parametrize("n", [2, 3], ids=["rank4", "rank6"])
     def test_top_form_ratio_takes_no_wedge(self, monkeypatch, rng, n):
@@ -475,7 +474,7 @@ class TestAlgebraProperties:
         b = random_form(st_, q, r, scale=0.5)
         lhs = nf.wedge(a, b)
         rhs = nf.form_scale(nf.wedge(b, a), (-1.0) ** (p * q))
-        assert nf.form_sub(lhs, rhs).max_norm() <= 1e-12
+        assert nf.form_add(lhs, nf.form_scale(rhs, -1.0)).max_norm() <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -488,7 +487,7 @@ class TestAlgebraProperties:
         b = random_form(st_, 1, r, scale=0.7)
         lhs = nf.wedge(nf.form_add(a1, a2), b)
         rhs = nf.form_add(nf.wedge(a1, b), nf.wedge(a2, b))
-        assert nf.form_sub(lhs, rhs).max_norm() <= 1e-12
+        assert nf.form_add(lhs, nf.form_scale(rhs, -1.0)).max_norm() <= 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -499,9 +498,9 @@ class TestAlgebraProperties:
         st_ = kt3(g)
         r = np.random.default_rng(seed)
         a = random_form(st_, 2, r, scale=0.7)
-        inv, anti = nf.type_split(a)
-        assert nf.form_sub(nf.j_conjugate(inv), inv).max_norm() <= 1e-12
-        assert nf.form_add(nf.j_conjugate(anti), anti).max_norm() <= 1e-12
+        inv, anti = type_split(a)
+        assert nf.form_add(j_conjugate(inv), nf.form_scale(inv, -1.0)).max_norm() <= 1e-12
+        assert nf.form_add(j_conjugate(anti), anti).max_norm() <= 1e-12
 
 
 class TestLagrangianIdentities:
@@ -512,10 +511,10 @@ class TestLagrangianIdentities:
             s = 1 if rng.uniform() < 0.5 else -1
             st = nf.lagrangian_coframe_xx(grid2, A, C, lam1, lam2, sign=s)
             u = random_trig_field(grid2, rng, max_mode=2, scale=0.15)
-            da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
-            _, anti = nf.type_split(da)
+            da = exterior_derivative(ansatz_one_form(u, st))
+            _, anti = type_split(da)
             assert anti.max_norm() <= 1e-10
-            r = nf.top_form_ratio(nf.form_add(st.omega, da), st)
+            r = nf.top_form_ratio(nf.form_add(st.omega, da))
             uxx = mixed_derivative(u, 0, 0).values
             uyy = mixed_derivative(u, 1, 1).values
             uxy = mixed_derivative(u, 0, 1).values
@@ -529,10 +528,10 @@ class TestLagrangianIdentities:
             s = 1 if rng.uniform() < 0.5 else -1
             st = nf.lagrangian_coframe_xy(grid2, A, C, lam, mu, nu, sign=s)
             u = random_trig_field(grid2, rng, max_mode=2, scale=0.15)
-            da = nf.exterior_derivative(nf.ansatz_one_form(u, st))
-            _, anti = nf.type_split(da)
+            da = exterior_derivative(ansatz_one_form(u, st))
+            _, anti = type_split(da)
             assert anti.max_norm() <= 1e-10
-            r = nf.top_form_ratio(nf.form_add(st.omega, da), st)
+            r = nf.top_form_ratio(nf.form_add(st.omega, da))
             ux = derivative(u, 0, 1).values
             uy = derivative(u, 1, 1).values
             uxx = mixed_derivative(u, 0, 0).values
@@ -565,7 +564,7 @@ def test_accumulator_never_writes_an_input(grid3, rng):
     nf.wedge(one, two)
     nf.wedge(two, one)
     nf.wedge_max_norm(one, two)
-    nf.j_conjugate(two)
+    j_conjugate(two)
     nf.anti_invariant_norm(two)
     nf.top_form_ratio(two)
     w, d_alpha, d_a = nf.ansatz_forms(u, st)

@@ -17,13 +17,12 @@ from torus_ma.grid import (
     ScalarField,
     TorusGrid,
     derivative,
-    from_function,
     integrate,
     project_mean_zero,
     random_trig_field,
 )
 
-from conftest import apply_transforms, branch_safe_field, count_transforms
+from conftest import apply_transforms, branch_safe_field, count_transforms, from_function
 
 
 @pytest.fixture(scope="module")

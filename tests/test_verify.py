@@ -11,14 +11,14 @@ from torus_ma import verify as vf
 from torus_ma.grid import (
     ScalarField,
     TorusGrid,
-    from_function,
     mixed_derivative,
     project_mean_zero,
     random_trig_field,
 )
 
-from conftest import (branch_safe_field, count_transforms, peak_fields, permutation_sign, rel_err,
-                      wedge_power_ratio)
+from conftest import (branch_safe_field, count_transforms, from_function, peak_fields,
+                      permutation_sign, rel_err, wedge_power_ratio)
+from oracles import ansatz_correction, ansatz_one_form, coefficient, exterior_derivative
 
 
 def zero_field(grid):
@@ -53,35 +53,35 @@ class TestReconstruct:
         g = TorusGrid((16, 16))
         spec = eq.EquationSpec(eq.Family.STDMA)
         st = eq.structure_for(spec, g)
-        w = vf.reconstruct_form(zero_field(g), spec, structure=st)
-        assert nf.form_sub(w, st.omega).max_norm() == 0.0
+        w = nf.ansatz_forms(zero_field(g), st)[0]
+        assert nf.form_add(w, nf.form_scale(st.omega, -1.0)).max_norm() == 0.0
 
     def test_stdma_coefficients(self, rng):
         # the rebuilt form carries 1 + u_xx, 1 + u_yy, and the mixed terms
         g = TorusGrid((32, 32))
         spec = eq.EquationSpec(eq.Family.STDMA)
         u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.3)
-        w = vf.reconstruct_form(u, spec)
+        w = nf.ansatz_forms(u, eq.structure_for(spec, u.grid))[0]
         uxx = mixed_derivative(u, 0, 0).values
         uyy = mixed_derivative(u, 1, 1).values
         uxy = mixed_derivative(u, 0, 1).values
-        assert rel_err(w.coefficient((0, 2)), 1.0 + uxx) < 1e-11
-        assert rel_err(w.coefficient((1, 3)), 1.0 + uyy) < 1e-11
-        assert rel_err(w.coefficient((0, 3)), uxy) < 1e-11
-        assert rel_err(w.coefficient((1, 2)), uxy) < 1e-11
+        assert rel_err(coefficient(w, (0, 2)), 1.0 + uxx) < 1e-11
+        assert rel_err(coefficient(w, (1, 3)), 1.0 + uyy) < 1e-11
+        assert rel_err(coefficient(w, (0, 3)), uxy) < 1e-11
+        assert rel_err(coefficient(w, (1, 2)), uxy) < 1e-11
         # no update along the fiber pair for base-only potentials
-        assert np.max(np.abs(w.coefficient((0, 1)))) < 1e-11
-        assert np.max(np.abs(w.coefficient((2, 3)))) < 1e-11
+        assert np.max(np.abs(coefficient(w, (0, 1)))) < 1e-11
+        assert np.max(np.abs(coefficient(w, (2, 3)))) < 1e-11
 
     def test_genma_cross_terms_present(self, rng):
         g = TorusGrid((32, 32))
         spec = eq.EquationSpec(eq.Family.GENMA)
         u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.3)
-        w = vf.reconstruct_form(u, spec)
+        w = nf.ansatz_forms(u, eq.structure_for(spec, u.grid))[0]
         # labels for the x2-y1 fibration: e1, e2, f1, f2 with x -> e2, y -> f1
         uxy = mixed_derivative(u, 0, 1).values
-        assert rel_err(w.coefficient((0, 1)), uxy) < 1e-11
-        assert rel_err(w.coefficient((2, 3)), uxy) < 1e-11
+        assert rel_err(coefficient(w, (0, 1)), uxy) < 1e-11
+        assert rel_err(coefficient(w, (2, 3)), uxy) < 1e-11
 
 
 class TestAnsatzJet:
@@ -107,16 +107,16 @@ class TestAnsatzJet:
             st = dataclasses.replace(
                 st, correction=st.correction + tuple((0.7, k) for k in st.d_table))
         u = ScalarField(g, rng.standard_normal(g.sizes))
-        want = nf.exterior_derivative(nf.ansatz_one_form(u, st))
+        want = exterior_derivative(ansatz_one_form(u, st))
         w, got, d_a = nf.ansatz_forms(u, st)
         assert set(got.terms) == set(want.terms)
         for key, c in want.terms.items():
-            assert rel_err(got.coefficient(key), c) <= 1e-13, key
-        assert nf.form_sub(w, nf.form_add(st.omega, got)).max_norm() == 0.0
-        want_a = nf.exterior_derivative(nf.ansatz_correction(u, st))
+            assert rel_err(coefficient(got, key), c) <= 1e-13, key
+        assert nf.form_add(w, nf.form_scale(nf.form_add(st.omega, got), -1.0)).max_norm() == 0.0
+        want_a = exterior_derivative(ansatz_correction(u, st))
         assert set(d_a.terms) == set(want_a.terms)
         for key, c in want_a.terms.items():
-            assert rel_err(d_a.coefficient(key), c) <= 1e-13, key
+            assert rel_err(coefficient(d_a, key), c) <= 1e-13, key
 
 
 class TestVerifySolution:
@@ -203,18 +203,28 @@ class TestVerifySolution:
     @pytest.mark.parametrize("family", list(eq.Family), ids=lambda f: f.value)
     def test_verify_takes_no_exterior_derivative(self, monkeypatch, rng, family):
         # d(alpha) comes from the jet of u and d(theta_c) from the structure
-        # terms; the public exterior derivative is only the tests' reference
+        # terms; the exterior derivative that differentiates every
+        # coefficient of alpha again is only the tests' reference
+        # (tests/oracles.py).  Verification differentiates a coefficient
+        # only for a field entry of J that a coordinate differential reaches
         g = TorusGrid((8,) * len(eq.family_axis_names(family)))
         h = random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0,))
         spec = eq.EquationSpec(family, **({"h": h} if "h" in eq.FAMILY_PARAMETERS[family] else {}))
         u, F = random_trig_field(g, rng, max_mode=2, scale=0.01), zero_field(g)
         want = vf.verify_solution(u, F, spec)
+        st = eq.structure_for(spec, g)
+        field_entries = sum(isinstance(k, np.ndarray) for cf in st.coord_forms for lab in cf
+                            for k in st.j_table.get(lab, {}).values())
+        calls = []
+        real = nf._coefficient_differential
 
-        def forbidden(a):
-            raise AssertionError("verification took an exterior derivative")
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
 
-        monkeypatch.setattr(nf, "exterior_derivative", forbidden)
+        monkeypatch.setattr(nf, "_coefficient_differential", counted)
         assert vf.verify_solution(u, F, spec) == want
+        assert len(calls) == field_entries
 
 
 class TestVolumeConservation:
@@ -247,8 +257,8 @@ class TestVolumeConservation:
 
         for spec, u in cases:
             st = eq.structure_for(spec, u.grid)
-            w = vf.reconstruct_form(u, spec, structure=st)
-            ratio = nf.top_form_ratio(w, st)
+            w = nf.ansatz_forms(u, st)[0]
+            ratio = nf.top_form_ratio(w)
             assert abs(float(np.mean(ratio.values)) - 1.0) <= 1e-10, spec.family
 
     def test_positivity_co_occurrence(self, rng):
@@ -259,11 +269,11 @@ class TestVolumeConservation:
         st = eq.structure_for(spec, g)
         for _ in range(6):
             u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.5)
-            margin = vf.compatibility_margin(vf.reconstruct_form(u, spec, structure=st))
+            margin = vf.compatibility_margin(nf.ansatz_forms(u, st)[0])
             monitor = sv.ellipticity_monitor(eq.evaluate(spec, u))
             assert margin > 0 and monitor > 0
         bad = from_function(g, lambda x, y: 2.5 / (2 * np.pi) ** 2 * np.cos(2 * np.pi * x))
-        margin = vf.compatibility_margin(vf.reconstruct_form(bad, spec, structure=st))
+        margin = vf.compatibility_margin(nf.ansatz_forms(bad, st)[0])
         monitor = sv.ellipticity_monitor(eq.evaluate(spec, bad))
         assert margin < 0 and monitor < 0
 
@@ -271,19 +281,22 @@ class TestVolumeConservation:
 class TestPotentialDefect:
     def test_zero_candidate(self):
         g = TorusGrid((16, 16))
-        assert vf.potential_defect(zero_field(g), eq.EquationSpec(eq.Family.STDMA)) == 0.0
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        assert vf.verify_solution(zero_field(g), zero_field(g), spec).potential_defect == 0.0
 
     def test_base_fibration_always_potential(self, rng):
         # for the x1-x2 fibration the correction never obstructs
         g = TorusGrid((32, 32))
         u = branch_safe_field(g, rng, max_mode=3, hessian_scale=0.4)
-        assert vf.potential_defect(u, eq.EquationSpec(eq.Family.STDMA)) <= 1e-12
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        assert vf.verify_solution(u, zero_field(g), spec).potential_defect <= 1e-12
 
     def test_mixed_fibration_obstruction(self, rng):
         # a y-dependent potential on the x2-y1 fibration is obstructed
         g = TorusGrid((32, 32))
         u = branch_safe_field(g, rng, max_mode=2, hessian_scale=0.4)
-        assert vf.potential_defect(u, eq.EquationSpec(eq.Family.GENMA)) > 1e-4
+        spec = eq.EquationSpec(eq.Family.GENMA)
+        assert vf.verify_solution(u, zero_field(g), spec).potential_defect > 1e-4
 
     @pytest.mark.parametrize("family, sizes", [("NDIM_HESSIAN", (32,) * 3),
                                                ("NDIM_FULL", (12,) * 4)])
@@ -316,11 +329,12 @@ class TestPotentialDefect:
         st = eq.structure_for(spec, g)
         st = dataclasses.replace(st, correction=st.correction + tuple((0.7, k) for k in st.d_table))
         u = ScalarField(g, rng.standard_normal(g.sizes))
-        want = nf.exterior_derivative(nf.ansatz_correction(u, st))
-        got = nf.correction_differential(u, nf.scalar_differential(st, u))
+        want = exterior_derivative(ansatz_correction(u, st))
+        du = exterior_derivative(nf.InvariantForm(st, 0, {(): u.values}))
+        got = nf.correction_differential(u, du)
         assert set(got.terms) == set(want.terms)
         for key, c in want.terms.items():
-            assert rel_err(got.coefficient(key), c) <= 1e-14, key
+            assert rel_err(coefficient(got, key), c) <= 1e-14, key
 
     def test_verify_reuses_the_partials_of_u(self, monkeypatch):
         # one forward transform of u and one inverse per u_x, u_y, u_xx, u_xy
@@ -460,7 +474,7 @@ def test_pfaffian_no_less_accurate_than_wedge_power(name):
     # Pfaffian forms each once.  Both routes are measured against a wider
     # Pfaffian of the same float64 coefficients
     spec, u = _criterion_fields()[name]
-    w = vf.reconstruct_form(u, spec)
+    w = nf.ansatz_forms(u, eq.structure_for(spec, u.grid))[0]
     st = w.structure
     exact = _longdouble_pfaffian(w.terms, st.rank) / _longdouble_pfaffian(st.omega.terms, st.rank)
     err_pf = np.max(np.abs(nf.top_form_ratio(w).values - exact))
@@ -497,7 +511,8 @@ def _case_stack(name):
         spec, u = _criterion_fields()[name[:-2]]
         if name.endswith("-M"):
             return _dense_coefficients(spec, u)
-        return _dense_pairing(vf.reconstruct_form(u, spec), eq.branch_sign(spec))
+        w = nf.ansatz_forms(u, eq.structure_for(spec, u.grid))[0]
+        return _dense_pairing(w, eq.branch_sign(spec))
     return _stack_cases()[name]
 
 
@@ -515,8 +530,8 @@ def test_monitors_match_dense_eigvalsh(name):
     # stack; the minima equal those of the dense matrices exactly
     spec, u = _criterion_fields()[name]
     sign = eq.branch_sign(spec)
-    assert vf.compatibility_margin(vf.reconstruct_form(u, spec), sign) == _dense_min(
-        _case_stack(f"{name}-G"))
+    w = nf.ansatz_forms(u, eq.structure_for(spec, u.grid))[0]
+    assert vf.compatibility_margin(w, sign) == _dense_min(_case_stack(f"{name}-G"))
     assert sv.ellipticity_monitor(eq.evaluate(spec, u)) == _dense_min(_case_stack(f"{name}-M"))
 
 
@@ -537,7 +552,8 @@ def test_margin_calls_lapack_on_few_points(monkeypatch, name, sizes):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     for field, limit in ((u, 0.1 * g.npoints), (zero_field(g), 0)):
         seen.clear()
-        vf.compatibility_margin(vf.reconstruct_form(field, spec), eq.branch_sign(spec))
+        w = nf.ansatz_forms(field, eq.structure_for(spec, g))[0]
+        vf.compatibility_margin(w, eq.branch_sign(spec))
         assert sum(seen) <= limit
         seen.clear()
         sv.ellipticity_monitor(eq.evaluate(spec, field))
