@@ -8,7 +8,8 @@ shape) can be written alongside for external tools.
 
 from __future__ import annotations
 
-import math
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -30,26 +31,32 @@ def write_field(path: str | Path, field: ScalarField) -> None:
 
 
 def read_field(path: str | Path) -> ScalarField:
+    """Read a dump: the header first, so that a grid over budget is rejected
+    before any value is read, then exactly the values the header announces.
+    A path that is not a regular file, such as a FIFO, is rejected unopened."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path} is not a field dump (bad magic)")
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated header")
-    (d,) = struct.unpack_from("<I", raw, 4)
-    if not 2 <= d <= 5:
-        raise ValueError(f"{path}: dimension must be 2..5, got {d}")
-    offset = 8 + 8 * d
-    if len(raw) < offset:
-        raise ValueError(f"{path}: truncated header")
-    sizes = struct.unpack_from(f"<{d}Q", raw, 8)
-    count = math.prod(sizes)
-    expected = offset + 8 * count
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    grid = TorusGrid(tuple(int(s) for s in sizes))
-    return ScalarField(grid, values.reshape(sizes).copy())
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise ValueError(f"{path} is not a regular file")
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise ValueError(f"{path} is not a field dump (bad magic)")
+        if len(head) < 8:
+            raise ValueError(f"{path}: truncated header")
+        (d,) = struct.unpack_from("<I", head, 4)
+        if not 2 <= d <= 5:
+            raise ValueError(f"{path}: dimension must be 2..5, got {d}")
+        raw_sizes = fh.read(8 * d)
+        if len(raw_sizes) < 8 * d:
+            raise ValueError(f"{path}: truncated header")
+        sizes = struct.unpack(f"<{d}Q", raw_sizes)
+        grid = TorusGrid(sizes)
+        expected = 8 + 8 * d + 8 * grid.npoints
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {found}")
+        values = np.fromfile(fh, dtype="<f8", count=grid.npoints)
+    return ScalarField(grid, values.reshape(grid.sizes))
 
 
 def write_csv(path: str | Path, field: ScalarField) -> None:
@@ -57,4 +64,5 @@ def write_csv(path: str | Path, field: ScalarField) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# sizes=" + "x".join(str(s) for s in field.grid.sizes) + "\n")
         for v in field.values.ravel():
-            fh.write(f"{v!r}\n")
+            # the repr of a Python float, not NumPy's "np.float64(...)"
+            fh.write(f"{float(v)!r}\n")

@@ -25,7 +25,7 @@ from . import nilframe as nf
 from .grid import (
     ScalarField,
     TorusGrid,
-    _unchecked_field,
+    _field,
     derivative,
     integrate,
     mixed_derivative,
@@ -233,7 +233,7 @@ class Evaluation(dict):
     def __missing__(self, key):
         if key[0] == "div":
             _, a, sign = key
-            flux = _unchecked_field(self.u.grid, self.spec._exp_h[sign] * self[(a,)])
+            flux = _field(self.u.grid, self.spec._exp_h[sign] * self[(a,)])
             val = derivative(flux, a, 1).values
         elif len(key) == 1:
             val = derivative(self.u, key[0], 1).values
@@ -291,9 +291,9 @@ def _fiber_correction(s: EquationSpec, f: dict, M: list):
                for k in range(1, n) for m in range(1, n))
 
 
-def _lagrangian_scales(s: EquationSpec) -> tuple[int, float, float]:
+def _lagrangian_scales(s: EquationSpec) -> tuple[float, float, float]:
     """Branch sign and coordinate scales a, c0 with |l1| = 1/a^2, |l2| = 1/c0^2."""
-    return (1 if s.l1 > 0 else -1), 1.0 / np.sqrt(abs(s.l1)), 1.0 / np.sqrt(abs(s.l2))
+    return branch_sign(s), 1.0 / np.sqrt(abs(s.l1)), 1.0 / np.sqrt(abs(s.l2))
 
 
 def _lagr_x1x2_coframe(s: EquationSpec, grid: TorusGrid) -> nf.NilStructure:
@@ -449,7 +449,7 @@ def linearizer(ev: Evaluation):
         vals = np.zeros(grid.sizes)
         for k, g in weights.items():
             vals += g * fw[k]
-        return _unchecked_field(grid, vals)
+        return _field(grid, vals)
 
     return apply
 
@@ -487,11 +487,3 @@ def datum_log_weight(spec: EquationSpec):
     whose residual divides the ratio by e^h, and 0 for every other family."""
     return _STATEMENTS[spec.family].log_weight(spec)
 
-
-def residual_geom(spec: EquationSpec, u: ScalarField) -> ScalarField:
-    """The family's residual recomputed through the exterior-algebra route:
-    rebuild omega + d(alpha), take its top-form ratio and weight it."""
-    _check_grid(spec, u)
-    st = structure_for(spec, u.grid)
-    w = nf.ansatz_forms(u, st)[0]
-    return ScalarField(u.grid, np.exp(datum_log_weight(spec)) * nf.top_form_ratio(w).values)

@@ -15,7 +15,7 @@ constructor, and the public entry points of `equations`, `solver` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,29 +117,27 @@ class TorusGrid:
         return self.sizes == other.sizes
 
 
-@dataclass(eq=False)
 class ScalarField:
     """Real periodic function sampled on a TorusGrid.
 
-    The spectral cache is the exact discrete Fourier transform of `values` on
-    the half spectrum of the last axis; it is computed lazily and must never
-    be read after mutating `values` (fields are immutable by convention).
-    The constructor rejects non-finite values.
+    `hat` is the exact discrete Fourier transform of `values` on the half
+    spectrum of the last axis.  A field holds one or both; each is formed from
+    the other on its first read, and neither may be read after mutating the
+    other (fields are immutable by convention).  The constructor rejects
+    non-finite values.
     """
 
-    grid: TorusGrid
-    values: np.ndarray
-    _hat: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.values = _grid_values(self.grid, self.values)
+    def __init__(self, grid: TorusGrid, values):
+        self.grid, self.values = grid, _grid_values(grid, values)
         require_finite(self)
 
-    @property
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.fft.irfftn(self.hat, s=self.grid.sizes, axes=tuple(range(self.grid.d)))
+
+    @cached_property
     def hat(self) -> np.ndarray:
-        if self._hat is None:
-            self._hat = np.fft.rfftn(self.values)
-        return self._hat
+        return np.fft.rfftn(self.values)
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -158,29 +156,22 @@ def require_finite(*fields: ScalarField) -> None:
             raise ValueError("field values must be finite")
 
 
-def _unchecked_field(grid: TorusGrid, values) -> ScalarField:
-    """A field computed from fields already on the grid, built without the
-    finite check of the public constructor: the inner loops' constructor."""
+def _field(grid: TorusGrid, values=None, hat=None) -> ScalarField:
+    """A field computed from fields already on the grid, held by its values
+    or its half spectrum, built without the finite check of the public
+    constructor: the inner loops' constructor."""
     f = object.__new__(ScalarField)
-    f.grid, f.values, f._hat = grid, _grid_values(grid, values), None
+    f.grid = grid
+    if values is not None:
+        f.values = _grid_values(grid, values)
+    if hat is not None:
+        f.hat = hat
     return f
-
-
-class _SpectrumField(ScalarField):
-    """A computed field held by its half spectrum: its values, one inverse
-    transform, are formed on first read, so a consumer of `hat` takes none."""
-
-    def __init__(self, grid: TorusGrid, hat: np.ndarray):
-        self.grid, self._hat = grid, hat
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return np.fft.irfftn(self._hat, s=self.grid.sizes, axes=tuple(range(self.grid.d)))
 
 
 def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
     """Spectral derivative along one axis, held by its half spectrum."""
-    return _SpectrumField(f.grid, f.hat * f.grid.multiplier(axis, order))
+    return _field(f.grid, hat=f.hat * f.grid.multiplier(axis, order))
 
 
 def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
@@ -192,7 +183,7 @@ def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
     if axis_a == axis_b:
         return derivative(f, axis_a, 2)
     mult = f.grid.multiplier(axis_a, 1) * f.grid.multiplier(axis_b, 1)
-    return _SpectrumField(f.grid, f.hat * mult)
+    return _field(f.grid, hat=f.hat * mult)
 
 
 def integrate(f: ScalarField) -> float:
@@ -201,14 +192,14 @@ def integrate(f: ScalarField) -> float:
 
 
 def project_mean_zero(f: ScalarField) -> ScalarField:
-    return _unchecked_field(f.grid, f.values - np.mean(f.values))
+    return _field(f.grid, f.values - np.mean(f.values))
 
 
 def invert_shifted_laplacian(r: ScalarField, sigma: float) -> ScalarField:
     """Solve (sigma*I - Laplacian) w = r diagonally; w is held by its half spectrum."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return _SpectrumField(r.grid, r.hat / r.grid.shifted_laplacian_symbol(sigma))
+    return _field(r.grid, hat=r.hat / r.grid.shifted_laplacian_symbol(sigma))
 
 
 def random_trig_field(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid, _unchecked_field, derivative
+from .grid import ScalarField, TorusGrid, _field, derivative
 
 
 def _permutation_sign(idx: tuple[int, ...]) -> int:
@@ -328,7 +328,7 @@ def ansatz_forms(u: ScalarField, structure: NilStructure
     st = structure
     if not st.grid.compatible(u.grid):
         raise ValueError("scalar lives on a different grid than the structure")
-    fu = _unchecked_field(u.grid, u.values)
+    fu = _field(u.grid, u.values)
     dx = [(b, lab, c) for b, cf in enumerate(st.coord_forms) for lab, c in cf.items()]
     u_a = {b: derivative(fu, b, 1).values for b, _, _ in dx}
     du = _signed_sum(st, 1, (((lab,), (c, u_a[b])) for b, lab, c in dx))
@@ -352,7 +352,7 @@ def ansatz_forms(u: ScalarField, structure: NilStructure
                 if isinstance(k, np.ndarray):
                     coeff = -ca * k
                     coeff *= u_a[a]
-                    yield from _coefficient_differential(st, _unchecked_field(st.grid, coeff), (j,))
+                    yield from _coefficient_differential(st, _field(st.grid, coeff), (j,))
                 else:
                     yield from (((lb, j), (cb, -ca * k, u_ab(a, b))) for b, lb, cb in dx)
         for (i,), c in du.terms.items():  # v * (-J du)_j for d theta^j = v theta^pair

@@ -34,7 +34,7 @@ from .equations import (
 )
 from .grid import (
     ScalarField,
-    _unchecked_field,
+    _field,
     derivative,
     integrate,
     invert_shifted_laplacian,
@@ -167,8 +167,10 @@ def gmres(AM, b, M, rtol, restart, maxiter):
     `AM` applies A M to a Krylov vector; `M` forms x once, from the final y.
     Arnoldi runs by modified Gram-Schmidt and the least-squares problem by
     Givens rotations, whose residual is the true ||b - A x||.  Each cycle of
-    at most `restart` steps starts from the true residual.  Returns (x, info):
-    info is 0 once ||b - A x|| <= rtol ||b||, else the `maxiter` steps taken.
+    at most `restart` steps starts from the true residual.  Returns (x, info,
+    residual): info is 0 once ||b - A x|| <= rtol ||b||, else the `maxiter`
+    steps taken; residual is that ||b - A x||, the Givens estimate when it
+    converged, else the true residual, measured after the last cycle.
     """
     y, r, beta, steps = np.zeros_like(b), b, np.linalg.norm(b), 0
     tol = rtol * beta
@@ -195,20 +197,19 @@ def gmres(AM, b, M, rtol, restart, maxiter):
                 break
         y += V[:j + 1].T @ np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1])
         beta = abs(g[j + 1])
-        if beta > tol and steps < maxiter:
+        if beta > tol:
             r = b - AM(y)
             beta = np.linalg.norm(r)
-    return (M(y) if steps else y), (0 if beta <= tol else steps)
+    return (M(y) if steps else y), (0 if beta <= tol else steps), beta
 
 
 def _linear_solve(L, grid, rhs_field, cfg, rtol):
     """Solve [L(w) - b ; mean(w)] = [rhs_field ; 0] by `gmres`, right-
     preconditioned by the shifted-Laplacian inverse of the field part, which
     L reads as its half spectrum; the gauge row takes mean(w) from its zero
-    mode.  Returns the step, the relative residual (at most rtol when GMRES
-    converged, measured with one more apply when it hit cfg.lin_maxiter
-    Arnoldi steps), the smallest-singular-value witness |rhs| / |x|, the GMRES
-    `info` and the number of operator applies.
+    mode.  Returns the step, the relative residual that GMRES stopped at, the
+    smallest-singular-value witness |rhs| / |x|, the GMRES `info` and the
+    number of operator applies.
     """
     npts, shape = grid.npoints, grid.sizes
     applies = 0
@@ -219,15 +220,14 @@ def _linear_solve(L, grid, rhs_field, cfg, rtol):
         return np.append(L(w).values.ravel() - beta, w.hat.flat[0].real / npts)
 
     def precond(v):
-        return invert_shifted_laplacian(_unchecked_field(grid, v[:npts].reshape(shape)), cfg.sigma)
+        return invert_shifted_laplacian(_field(grid, v[:npts].reshape(shape)), cfg.sigma)
 
     rhs = np.append(rhs_field.ravel(), 0.0)
-    x, info = gmres(lambda v: apply(precond(v), v[npts]), rhs,
-                    M=lambda v: np.append(precond(v).values.ravel(), v[npts]),
-                    rtol=rtol, restart=cfg.lin_restart, maxiter=cfg.lin_maxiter)
+    x, info, residual = gmres(lambda v: apply(precond(v), v[npts]), rhs,
+                              M=lambda v: np.append(precond(v).values.ravel(), v[npts]),
+                              rtol=rtol, restart=cfg.lin_restart, maxiter=cfg.lin_maxiter)
     nrhs = float(np.linalg.norm(rhs))
-    achieved = float(np.linalg.norm(apply(_unchecked_field(grid, x[:npts].reshape(shape)), x[npts])
-                                    - rhs)) / nrhs if info else rtol
+    achieved = float(residual) / nrhs
     nx = float(np.linalg.norm(x))
     witness = nrhs / nx if nx > 0 else float("inf")
     return x[:npts].reshape(shape), float(x[npts]), achieved, witness, int(info), applies
@@ -289,37 +289,34 @@ def newton_solve(
             break
 
         step = 1.0
-        accepted = False
         branch_blocked = 0
         for _bt in range(cfg.max_backtracks):
-            u_try = project_mean_zero(_unchecked_field(grid, u.values + step * w_vals))
+            u_try = project_mean_zero(_field(grid, u.values + step * w_vals))
             ev_try = evaluate(spec, u_try)
             margin_try = ellipticity_monitor(ev_try)
             if margin_try < cfg.delta:
                 branch_blocked += 1
-                step *= cfg.damping
-                continue
-            b_try = b + step * beta
-            r_try = ev_try.residual.values - eG - b_try
-            n_try = float(np.max(np.abs(r_try)))
-            if n_try <= (1.0 - 1e-4 * step) * hist[-1] or n_try <= cfg.newton_tol:
-                u, b, r, margin, ev = u_try, b_try, r_try, margin_try, ev_try
-                hist.append(n_try)
-                # inexact-Newton forcing term (Eisenstat & Walker 1996),
-                # tightened quadratically with the observed contraction so the
-                # local rate stays quadratic.  The safeguard 0.01*newton_tol/|r|
-                # stops a step that can already land under newton_tol from
-                # over-solving: restarted GMRES may never reach lin_rtol and
-                # would run to lin_maxiter.  lin_rtol is only a lower bound.
-                forcing = max(cfg.lin_rtol, min(1e-2, (n_try / hist[-2]) ** 2),
-                              0.01 * cfg.newton_tol / n_try)
-                accepted = True
-                break
+            else:
+                b_try = b + step * beta
+                r_try = ev_try.residual.values - eG - b_try
+                n_try = float(np.max(np.abs(r_try)))
+                if n_try <= (1.0 - 1e-4 * step) * hist[-1] or n_try <= cfg.newton_tol:
+                    break
             step *= cfg.damping
-        if not accepted:
+        else:
             status = Status.BRANCH_LOST if branch_blocked == cfg.max_backtracks \
                 else Status.MAX_ITERATIONS
             break
+        u, b, r, margin, ev = u_try, b_try, r_try, margin_try, ev_try
+        hist.append(n_try)
+        # inexact-Newton forcing term (Eisenstat & Walker 1996), tightened
+        # quadratically with the observed contraction so the local rate stays
+        # quadratic.  The safeguard 0.01*newton_tol/|r| stops a step that can
+        # already land under newton_tol from over-solving: restarted GMRES may
+        # never reach lin_rtol and would run to lin_maxiter.  lin_rtol is only
+        # a lower bound.
+        forcing = max(cfg.lin_rtol, min(1e-2, (n_try / hist[-2]) ** 2),
+                      0.01 * cfg.newton_tol / n_try)
         if step < last_step and hist[-1] > cfg.newton_tol:
             status = Status.NEWTON_STALLED
             break

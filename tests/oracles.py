@@ -5,14 +5,15 @@ The tool builds the ansatz form once, from one spectral jet of u
 exterior derivative of a 0-form, alpha = -J du + a(u), and d alpha by
 transforming every coefficient of alpha again.  They sum through the
 package's private accumulator and Leibniz helpers, as the tool does, so
-only the route differs.  `ndim_printed` is the published n = 3 closed form.
+only the route differs.  `residual_geom` is a family's residual by the
+exterior-algebra route, and `ndim_printed` the published n = 3 closed form.
 """
 
 import numpy as np
 
 from torus_ma import equations as eq
 from torus_ma import nilframe as nf
-from torus_ma.grid import ScalarField, _unchecked_field
+from torus_ma.grid import ScalarField, _field
 
 
 def coefficient(a: nf.InvariantForm, key: tuple[int, ...]) -> np.ndarray:
@@ -48,7 +49,7 @@ def exterior_derivative(a: nf.InvariantForm) -> nf.InvariantForm:
     def contributions():
         for I, c in a.terms.items():
             if isinstance(c, np.ndarray):
-                yield from nf._coefficient_differential(st, _unchecked_field(st.grid, c), I)
+                yield from nf._coefficient_differential(st, _field(st.grid, c), I)
             yield from nf._structure_terms(st, I, c)
 
     return nf._signed_sum(st, a.degree + 1, contributions())
@@ -84,6 +85,15 @@ def ansatz_one_form(u: ScalarField, structure: nf.NilStructure) -> nf.InvariantF
     du = exterior_derivative(nf.InvariantForm(structure, 0, {(): u.values}))
     return nf.form_add(nf.form_scale(j_conjugate(du), -1.0),
                        ansatz_correction(u, structure)).prune()
+
+
+def residual_geom(spec: eq.EquationSpec, u: ScalarField) -> ScalarField:
+    """The family's residual recomputed through the exterior-algebra route:
+    rebuild omega + d(alpha), take its top-form ratio and weight it."""
+    eq._check_grid(spec, u)
+    st = eq.structure_for(spec, u.grid)
+    w = nf.ansatz_forms(u, st)[0]
+    return ScalarField(u.grid, np.exp(eq.datum_log_weight(spec)) * nf.top_form_ratio(w).values)
 
 
 def ndim_printed(spec: eq.EquationSpec, u: ScalarField) -> ScalarField:

@@ -27,7 +27,7 @@ from torus_ma.grid import (
 )
 
 from conftest import branch_safe_field, from_function
-from oracles import ansatz_one_form, exterior_derivative, ndim_printed, type_split
+from oracles import ansatz_one_form, exterior_derivative, ndim_printed, residual_geom, type_split
 
 
 def announce(capsys, line):
@@ -138,7 +138,7 @@ def test_criterion_03_lagrangian_identity_suite(capsys):
                                lam1=rng.uniform(-1, 1), lam2=rng.uniform(-1, 1))
         sxx = eq.EquationSpec.lagr_x1x2_from_coframe(pxx)
         assert sxx.l1 == pytest.approx(1.0 / a**2) and sxx.l2 == pytest.approx(1.0 / c0**2)
-        worst = max(worst, rel(eq.residual_geom(sxx, u).values,
+        worst = max(worst, rel(residual_geom(sxx, u).values,
                                eq.residual(sxx, u).values))
         pxy = eq.CoframeParams(scale_x=a, scale_y=c0, shear=shear,
                                lam=rng.uniform(-1, 1), mu=rng.uniform(-1, 1))
@@ -146,7 +146,7 @@ def test_criterion_03_lagrangian_identity_suite(capsys):
         assert sxy.l1 == pytest.approx(-1.0 / a**2)
         assert sxy.m1 == pytest.approx(-pxy.lam * a / c0**2)
         assert sxy.m2 == pytest.approx(-pxy.lam * shear / c0**2)
-        worst = max(worst, rel(eq.residual_geom(sxy, u).values,
+        worst = max(worst, rel(residual_geom(sxy, u).values,
                                eq.residual(sxy, u).values))
     ok = worst <= 1e-10
     announce(capsys, f"[ACCEPTANCE] 3 Lagrangian coframe identities (20 parameter sets): "
@@ -350,7 +350,7 @@ def test_criterion_09_bundle_cross_check(capsys, tmp_path):
     g4 = TorusGrid((16,) * 4)
     u = branch_safe_field(g4, rng, max_mode=1, hessian_scale=0.3)
     spec = eq.EquationSpec(eq.Family.NDIM_FULL, n=3)
-    geom = eq.residual_geom(spec, u)
+    geom = residual_geom(spec, u)
     printed = ndim_printed(spec, u)
     disc = ScalarField(g4, geom.values - printed.values)
     dumpio.write_field(tmp_path / "bundle_discrepancy.tma", disc)

@@ -396,14 +396,21 @@ class TestRunPipeline:
         assert "branch" in report["message"]
 
     def test_csv_sidecar(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json", mode="manufacture", family="STDMA", grid=[32, 32],
-            datum={"expr": "0.004*sin(2*pi*x)"}, csv=True,
-            out=str(tmp_path / "run"), seed=0)
-        assert cli.main(["manufacture", "--config", cfg]) == 0
-        csv = (tmp_path / "run" / "u_star.csv").read_text().splitlines()
-        assert csv[0].startswith("# sizes=32x32")
-        assert len(csv) == 1 + 32 * 32
+        # each mode writes a CSV beside each of its dumps; solve used to
+        # write none for its datum
+        for mode, names in (("manufacture", ("u_star", "datum")), ("solve", ("u", "datum"))):
+            cfg = write_config(
+                tmp_path / f"{mode}.json", mode=mode, family="STDMA", grid=[32, 32],
+                datum={"expr": "0.004*sin(2*pi*x)"}, csv=True,
+                out=str(tmp_path / mode), seed=0)
+            assert cli.main([mode, "--config", cfg]) == 0
+            for name in names:
+                csv = (tmp_path / mode / f"{name}.csv").read_text().splitlines()
+                assert csv[0].startswith("# sizes=32x32")
+                assert len(csv) == 1 + 32 * 32
+                values = np.array([float(v) for v in csv[1:]])
+                assert np.array_equal(values, dumpio.read_field(tmp_path / mode / f"{name}.tma")
+                                      .values.ravel())
 
     def test_bad_grid_exits_two(self, tmp_path):
         cfg = write_config(
@@ -507,6 +514,25 @@ class TestRunPipeline:
         assert report["status"] == "ConfigError"
         assert report["error_code"] == "config"
         assert "magic" in report["message"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_dump_exits_two(self, tmp_path):
+        # reading a FIFO dump blocked until a writer came, and none does: the
+        # run hung, leaving an empty output directory and no report
+        fifo = tmp_path / "datum.tma"
+        os.mkfifo(fifo)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        cfg = write_config(tmp_path / "cfg.json", mode="verify", family="STDMA", grid=[8, 8],
+                           datum={"dump": str(fifo)}, solution={"expr": "0"},
+                           out=str(tmp_path / "run"))
+        done = subprocess.run([sys.executable, "-m", "torus_ma", "verify", "--config", cfg],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2, done.stderr
+        report = cli.read_report(tmp_path / "run" / "report.txt")
+        assert (report["status"], report["error_code"]) == ("ConfigError", "config")
+        assert "not a regular file" in report["message"]
 
     @pytest.mark.parametrize("params", [{"n": "two"}, {"n": None}, {"c": [1.0]}])
     def test_malformed_family_parameter_exits_two(self, tmp_path, params):

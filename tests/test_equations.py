@@ -17,7 +17,7 @@ from torus_ma.grid import (
 )
 
 from conftest import apply_transforms, branch_safe_field, count_transforms, from_function, rel_err
-from oracles import ndim_printed
+from oracles import ndim_printed, residual_geom
 
 
 def all_t2_specs(grid, rng):
@@ -100,8 +100,8 @@ def test_unread_parameter_is_pinned(family, name, rng):
     perturbed = eq.EquationSpec(family, **{**base, name: h if name == "h" else _PERTURBED[name]})
     u = random_trig_field(grid, rng, max_mode=1, scale=0.02)
     assert np.array_equal(eq.residual(perturbed, u).values, eq.residual(spec, u).values)
-    assert np.array_equal(eq.residual_geom(perturbed, u).values,
-                          eq.residual_geom(spec, u).values)
+    assert np.array_equal(residual_geom(perturbed, u).values,
+                          residual_geom(spec, u).values)
     assert eq.branch_sign(perturbed) == eq.branch_sign(spec)
 
 
@@ -152,18 +152,37 @@ class TestResidual:
                                            m1=0.0, m2=1.0), u)
         assert np.max(np.abs(r_gen.values - r_xy.values)) == 0.0
 
+    @pytest.mark.parametrize("family, bundle, perm", [
+        ("DETA_T3", "NDIM_FULL", (0, 1, 2)),
+        ("STDMA", "NDIM_HESSIAN", (0, 1)),
+        ("GENMA", "NDIM_B", (1, 0)),
+    ])
+    def test_n2_bundle_families_reduce_to_the_paper_equations(self, family, bundle, perm, rng):
+        # the paper's n = 2 reductions: the bundle family on the n = 2 torus
+        # is the surface or T^3 equation, GENMA's with its two axes swapped,
+        # and both are realized by one coframe
+        g = TorusGrid((16, 16, 16) if len(perm) == 3 else (32, 32))
+        u = random_trig_field(g, rng, max_mode=2, scale=0.1)
+        spec, spec_n = eq.EquationSpec(family), eq.EquationSpec(bundle, n=2)
+        want = np.transpose(eq.residual(spec, u).values, perm)
+        got = eq.residual(spec_n, ScalarField(g, np.transpose(u.values, perm))).values
+        assert rel_err(got, want) <= 1e-12
+        st, st_n = eq.structure_for(spec, g), eq.structure_for(spec_n, g)
+        assert st.labels == st_n.labels
+        assert tuple(st.coord_forms[a] for a in perm) == st_n.coord_forms
+
 
 class TestOracleEquivalence:
     def test_flat_point_geometric(self, grid2):
         zero = ScalarField(grid2, np.zeros(grid2.sizes))
-        r = eq.residual_geom(eq.EquationSpec(eq.Family.STDMA), zero)
+        r = residual_geom(eq.EquationSpec(eq.Family.STDMA), zero)
         assert np.max(np.abs(r.values - 1.0)) == 0.0
 
     def test_t2_families(self, grid2, rng):
         u = random_trig_field(grid2, rng, max_mode=3, scale=0.12)
         for name, spec in all_t2_specs(grid2, rng).items():
             r = eq.residual(spec, u)
-            rg = eq.residual_geom(spec, u)
+            rg = residual_geom(spec, u)
             assert rel_err(r.values, rg.values) <= 1e-10, name
 
     def test_t3_families(self, grid3, rng):
@@ -172,33 +191,33 @@ class TestOracleEquivalence:
         for spec in (eq.EquationSpec(eq.Family.DETA_T3),
                      eq.EquationSpec(eq.Family.WARPED_T3, h=h)):
             assert rel_err(eq.residual(spec, u).values,
-                           eq.residual_geom(spec, u).values) <= 1e-10
+                           residual_geom(spec, u).values) <= 1e-10
 
     def test_bundle_families(self, rng):
         g4 = TorusGrid((12, 12, 12, 12)) if False else TorusGrid((16,) * 4)
         u4 = random_trig_field(g4, rng, max_mode=1, scale=0.08)
         spec = eq.EquationSpec(eq.Family.NDIM_FULL, n=3)
         assert rel_err(eq.residual(spec, u4).values,
-                       eq.residual_geom(spec, u4).values) <= 1e-10
+                       residual_geom(spec, u4).values) <= 1e-10
         g3 = TorusGrid((16,) * 3)
         u3 = random_trig_field(g3, rng, max_mode=2, scale=0.08)
         for fam in (eq.Family.NDIM_HESSIAN, eq.Family.NDIM_B):
             spec = eq.EquationSpec(fam, n=3)
             assert rel_err(eq.residual(spec, u3).values,
-                           eq.residual_geom(spec, u3).values) <= 1e-10
+                           residual_geom(spec, u3).values) <= 1e-10
 
     def test_bundle_family_rank_four(self, rng):
         g5 = TorusGrid((8,) * 5)
         u5 = random_trig_field(g5, rng, max_mode=1, scale=0.05)
         spec = eq.EquationSpec(eq.Family.NDIM_FULL, n=4)
         assert rel_err(eq.residual(spec, u5).values,
-                       eq.residual_geom(spec, u5).values) <= 1e-10
+                       residual_geom(spec, u5).values) <= 1e-10
         g4 = TorusGrid((8,) * 4)
         u4 = random_trig_field(g4, rng, max_mode=1, scale=0.05)
         for fam in (eq.Family.NDIM_HESSIAN, eq.Family.NDIM_B):
             spec4 = eq.EquationSpec(fam, n=4)
             assert rel_err(eq.residual(spec4, u4).values,
-                           eq.residual_geom(spec4, u4).values) <= 1e-10
+                           residual_geom(spec4, u4).values) <= 1e-10
 
 
 class TestWarpedRewrites:
@@ -469,7 +488,7 @@ class TestPrintedBundleFormula:
         g4 = TorusGrid((16,) * 4)
         u = random_trig_field(g4, rng, max_mode=1, scale=0.08)
         spec = eq.EquationSpec(eq.Family.NDIM_FULL, n=3)
-        geom = eq.residual_geom(spec, u)
+        geom = residual_geom(spec, u)
         printed = ndim_printed(spec, u)
         disc = np.abs(geom.values - printed.values)
         assert np.all(np.isfinite(disc))

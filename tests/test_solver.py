@@ -64,9 +64,10 @@ class TestGmres:
         A = np.diag(np.linspace(2.0, 50.0, n)) + 0.05 * rng.standard_normal((n, n))
         b = rng.standard_normal(n)
         M = (lambda v: v / np.diag(A)) if jacobi else _identity
-        x, info = sv.gmres(lambda v: A @ M(v), b, M=M, rtol=1e-12, restart=n, maxiter=n)
+        x, info, residual = sv.gmres(lambda v: A @ M(v), b, M=M, rtol=1e-12, restart=n, maxiter=n)
         want = np.linalg.solve(A, b)
         assert info == 0
+        assert residual <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_short_restart_converges_across_cycles(self, rng):
@@ -76,7 +77,7 @@ class TestGmres:
         full, calls_full = _counted(A)
         sv.gmres(full, b, M=_identity, rtol=1e-10, restart=n, maxiter=n)
         AM, calls = _counted(A)
-        x, info = sv.gmres(AM, b, M=_identity, rtol=1e-10, restart=5, maxiter=500)
+        x, info, _ = sv.gmres(AM, b, M=_identity, rtol=1e-10, restart=5, maxiter=500)
         assert calls_full["n"] > 5
         assert info == 0
         assert calls["n"] > calls_full["n"]
@@ -84,7 +85,7 @@ class TestGmres:
 
     def test_zero_rhs_returns_zeros(self, rng):
         AM, calls = _counted(rng.standard_normal((8, 8)))
-        x, info = sv.gmres(AM, np.zeros(8), M=_identity, rtol=1e-8, restart=8, maxiter=8)
+        x, info, _ = sv.gmres(AM, np.zeros(8), M=_identity, rtol=1e-8, restart=8, maxiter=8)
         assert info == 0
         assert calls["n"] == 0
         assert not x.any()
@@ -97,19 +98,22 @@ class TestGmres:
         AM, calls = _counted(np.eye(12))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, info = sv.gmres(AM, b, M=_identity, rtol=1e-12, restart=12, maxiter=12)
+            x, info, _ = sv.gmres(AM, b, M=_identity, rtol=1e-12, restart=12, maxiter=12)
         assert info == 0
         assert calls["n"] == 1
         assert np.linalg.norm(x - b) <= 1e-14 * np.linalg.norm(b)
 
     def test_cap_below_needed_steps_reports_them(self, rng):
-        # 4 + 2 Arnoldi steps and the true residual between the two cycles
+        # 4 + 2 Arnoldi steps and the true residual after each of the two
+        # cycles, which the capped solve returns
         n = 30
-        AM, calls = _counted(np.diag(np.linspace(1.0, 100.0, n)))
-        x, info = sv.gmres(AM, rng.standard_normal(n), M=_identity, rtol=1e-12,
-                           restart=4, maxiter=6)
+        A = np.diag(np.linspace(1.0, 100.0, n))
+        AM, calls = _counted(A)
+        b = rng.standard_normal(n)
+        x, info, residual = sv.gmres(AM, b, M=_identity, rtol=1e-12, restart=4, maxiter=6)
         assert info == 6
-        assert calls["n"] == 7
+        assert calls["n"] == 8
+        assert residual == np.linalg.norm(b - A @ x)
 
     @pytest.mark.parametrize("maxiter, restart", [(100, 60), (50, 60)])
     def test_lin_maxiter_caps_arnoldi_steps(self, rng, maxiter, restart):
@@ -474,7 +478,7 @@ class TestFailurePaths:
         # is the first checked field, and it ends the solve
         spec = eq.EquationSpec(eq.Family.STDMA)
         F = eq.manufactured_datum(spec, star64)
-        monkeypatch.setattr(sv, "gmres", lambda A, b, **kw: (np.full(b.shape, np.nan), 0))
+        monkeypatch.setattr(sv, "gmres", lambda A, b, **kw: (np.full(b.shape, np.nan), 0, 0.0))
         with pytest.raises(ValueError, match="finite"):
             sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), sv.SolverConfig())
 
