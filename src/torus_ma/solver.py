@@ -45,7 +45,7 @@ from .grid import (
 
 class Status(str, Enum):
     CONVERGED = "Converged"
-    STEP_FAILED = "StepFailed"
+    MAX_STEPS = "MaxSteps"
     BRANCH_LOST = "BranchLost"
     MAX_ITERATIONS = "MaxIterations"
     LINEAR_SOLVE_STALLED = "LinearSolveStalled"
@@ -365,7 +365,7 @@ def continuity_solve(spec: EquationSpec, F: ScalarField, cfg: SolverConfig) -> S
     witness = float("inf")
     history: list[float] = []
     rejected: list[RejectedAttempt] = []
-    status = Status.STEP_FAILED
+    status = Status.MAX_STEPS
     matvecs = capped = 0
 
     for _ in range(cfg.max_steps):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from torus_ma import cli, dumpio
 from torus_ma import equations as eq
 from torus_ma import nilframe as nf
-from torus_ma.grid import ScalarField, TorusGrid
+from torus_ma.grid import ScalarField, TorusGrid, _field
 from torus_ma.solver import SolverConfig
 
 from conftest import from_function, rel_err
@@ -290,6 +290,34 @@ class TestRunPipeline:
         assert cli.main(["selftest", "--config", cfg]) == 0
         report = cli.read_report(tmp_path / "run" / "report.txt")
         assert report["status"] == "Pass"
+
+    @pytest.mark.parametrize("name, key", [("top_form_ratio", "ratio_max"),
+                                           ("anti_invariant_norm", "anti_max")])
+    def test_selftest_fails_on_a_nan_defect(self, tmp_path, monkeypatch, name, key):
+        # a NaN defect is reported as NaN and fails the run, where
+        # max(worst, nan) would drop it and pass
+        nan = {"top_form_ratio": lambda w: _field(w.structure.grid, np.nan),
+               "anti_invariant_norm": lambda a: float("nan")}[name]
+        monkeypatch.setattr(nf, name, nan)
+        cfg = write_config(tmp_path / "cfg.json", mode="selftest",
+                           out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["selftest", "--config", cfg]) == 4
+        report = cli.read_report(tmp_path / "run" / "report.txt")
+        assert (report["status"], report["error_code"]) == ("Fail", "selftest")
+        for suite in ("flat", "warped", "lagrangian"):
+            assert report["selftest"][f"{suite}_{key}"] == "nan"
+
+    def test_max_steps_exits_three(self, tmp_path):
+        # the continuation budget runs out at t = 0.5 with no step failed
+        cfg = write_config(tmp_path / "cfg.json", mode="solve", family="STDMA", grid=[32, 32],
+                           datum={"expr": "0.4*sin(2*pi*x)*sin(2*pi*y)"},
+                           solver={"max_steps": 1, "dt_init": 0.5},
+                           out=str(tmp_path / "run"), seed=0)
+        assert cli.main(["solve", "--config", cfg]) == 3
+        report = cli.read_report(tmp_path / "run" / "report.txt")
+        assert (report["status"], report["error_code"]) == ("MaxSteps", "solver")
+        assert [node["t"] for node in report["trace"].values()] == ["0.0", "0.5"]
+        assert report["rejected"] == {}
 
     def test_bad_config_exits_two(self, tmp_path):
         p = tmp_path / "cfg.json"

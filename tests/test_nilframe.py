@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ from oracles import (ansatz_one_form, coefficient, exterior_derivative, j_conjug
 
 def kt3(grid, warp=None):
     return nf.nil_bundle(grid, 2, ("e1", "e2", "f1"), warp=warp)
+
+
+# scalars and 2 x 3 arrays, both with zeros of both signs
+_FACTOR = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-4.0, 4.0),
+    st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0), min_size=6, max_size=6)
+    .map(lambda v: np.array(v).reshape(2, 3)))
 
 
 def random_form(st, degree, rng, scale=1.0):
@@ -198,6 +207,25 @@ class TestSignedSum:
         assert nf._signed_sum(st, 1, [((0,), (q,))]).terms[(0,)] is q
         # terms that cancel are pruned
         assert nf._signed_sum(st, 2, [((0, 1), (q,)), ((1, 0), (q,))]).terms == {}
+
+    @settings(max_examples=400, deadline=None)
+    @given(factors=st.lists(_FACTOR, max_size=4).map(tuple), sign=st.sampled_from([1, -1]))
+    def test_product_is_the_plain_product(self, factors, sign):
+        # the floats of sign * f1 * f2 * ... to the bit; a lone array whose
+        # other factors are +-1, at a net sign of +1, comes back as itself;
+        # no input is written; `fresh` marks exactly an array allocated here
+        before = [np.array(f).tobytes() for f in factors]
+        c, fresh = nf._product(factors, sign)
+        want = functools.reduce(operator.mul, factors, float(sign))
+        assert isinstance(c, np.ndarray) == isinstance(want, np.ndarray)
+        assert np.asarray(c).tobytes() == np.asarray(want).tobytes()
+        arrays = [f for f in factors if isinstance(f, np.ndarray)]
+        units = [f for f in factors if not isinstance(f, np.ndarray) and abs(f) == 1.0]
+        if len(arrays) == 1 and len(arrays) + len(units) == len(factors):
+            assert (c is arrays[0]) == (sign * np.prod(units) > 0)
+        assert [np.array(f).tobytes() for f in factors] == before
+        assert fresh == (isinstance(c, np.ndarray) and all(c is not f for f in arrays))
+        assert not fresh or not any(np.shares_memory(c, f) for f in arrays)
 
     def test_operations_build_no_form_per_term(self, monkeypatch, grid3, rng):
         # exterior_derivative (du of a 0-form included) and j_conjugate go

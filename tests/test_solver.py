@@ -488,8 +488,19 @@ class TestFailurePaths:
         cfg = sv.SolverConfig(max_newton=1, dt_init=1.0, dt_min=0.6)
         F = eq.manufactured_datum(spec, star64)
         rep = sv.continuity_solve(spec, F, cfg)
-        assert rep.status in (sv.Status.STEP_FAILED, sv.Status.MAX_ITERATIONS)
+        assert rep.status is sv.Status.MAX_ITERATIONS
         assert not rep.converged
+
+    def test_max_steps_ends_max_steps(self):
+        # one accepted step to t = 0.5 spends the whole budget: no step failed
+        g = TorusGrid((32, 32))
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        star = from_function(g, lambda x, y: 0.012 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+        F = eq.manufactured_datum(spec, project_mean_zero(star))
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig(max_steps=1, dt_init=0.5))
+        assert rep.status is sv.Status.MAX_STEPS and rep.status.value == "MaxSteps"
+        assert [node.t for node in rep.trace] == [0.0, 0.5]
+        assert rep.rejected == [] and not rep.converged
 
 
     @pytest.mark.parametrize("blocked, status", [(2, "Converged"), (3, "NewtonStalled")])

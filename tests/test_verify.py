@@ -200,6 +200,21 @@ class TestVerifySolution:
         u, F = random_trig_field(g, rng, max_mode=2, scale=0.01), zero_field(g)
         assert peak_fields(g, lambda: vf.verify_solution(u, F, spec)) <= 1.1 * peak <= 0.75 * parent
 
+    @pytest.mark.parametrize("family, sizes, params, pin", [
+        ("DETA_T3", (32,) * 3, {}, 1.5), ("NDIM_HESSIAN", (32,) * 3, {"n": 3}, 1.5),
+        ("NDIM_FULL", (12,) * 4, {"n": 3}, 1.5), ("WARPED_T3", (32,) * 3, {}, 2.5)])
+    def test_anti_invariant_norm_memory_is_bounded(self, rng, family, sizes, params, pin):
+        # measured 1.02 / 1.02 / 1.04 / 2.02 fields; with |a - J a| taken out
+        # of place 2.02 / 2.02 / 2.04 / 3.02, and with J a formed whole rather
+        # than key by key WARPED_T3 peaks at 6.01 (its field entries e^{+-h}
+        # make every term of J a an array of its own)
+        g = TorusGrid(sizes)
+        if family.startswith("WARPED"):
+            params = {"h": random_trig_field(g, rng, max_mode=1, scale=0.3, axes=(0,))}
+        st = eq.structure_for(eq.EquationSpec(family, **params), g)
+        _, d_alpha, _ = nf.ansatz_forms(random_trig_field(g, rng, max_mode=2, scale=0.01), st)
+        assert peak_fields(g, lambda: nf.anti_invariant_norm(d_alpha)) <= pin
+
     @pytest.mark.parametrize("family", list(eq.Family), ids=lambda f: f.value)
     def test_verify_takes_no_exterior_derivative(self, monkeypatch, rng, family):
         # d(alpha) comes from the jet of u and d(theta_c) from the structure
