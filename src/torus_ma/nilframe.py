@@ -71,7 +71,7 @@ def _product(factors, sign: int):
     a product formed here is negated in place: both are exact."""
     kept = []
     for f in factors:
-        # multiplied, +-1 lifts verify_solution's peaks by up to 3.5 fields (DETA_T3 32^3: 19.30)
+        # multiplied, +-1 lifts verify_solution's peaks by up to 6.4 fields (DETA_T3 32^3: 19.30)
         if not isinstance(f, np.ndarray) and (f == 1.0 or f == -1.0):
             sign = sign if f > 0 else -sign
         else:
@@ -321,7 +321,7 @@ def ansatz_forms(u: ScalarField, structure: NilStructure
     u_a = {b: derivative(fu, b, 1).values for b, _, _ in dx}
     du = _signed_sum(st, 1, (((lab,), (c, u_a[b])) for b, lab, c in dx))
     d_a = correction_differential(u, du)
-    # u_ab (a <= b) as d of du takes them; held to the end, LAGR_X2Y1 64^2 peaks at 16.33 > 16.06
+    # u_ab (a <= b) as d of du takes them; held to the end, LAGR_X2Y1 64^2 peaks at 16.38 > 14.99
     reads = collections.Counter((min(a, b), max(a, b)) for a, la, _ in dx
                                 for k in st.j_table.get(la, {}).values()
                                 if not isinstance(k, np.ndarray) for b, _, _ in dx)

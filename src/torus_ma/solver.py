@@ -261,7 +261,7 @@ def newton_solve(
     # its residual and the next linearizer all read it
     ev = evaluate(spec, u)
     margin = ellipticity_monitor(ev)
-    if margin < cfg.delta:
+    if not margin >= cfg.delta:  # a NaN margin is below the floor
         raise ValueError("u0 lies outside the elliptic branch")
 
     grid = u0.grid
@@ -294,7 +294,7 @@ def newton_solve(
             u_try = project_mean_zero(_field(grid, u.values + step * w_vals))
             ev_try = evaluate(spec, u_try)
             margin_try = ellipticity_monitor(ev_try)
-            if margin_try < cfg.delta:
+            if not margin_try >= cfg.delta:
                 branch_blocked += 1
             else:
                 b_try = b + step * beta

@@ -62,7 +62,7 @@ def compatibility_margin(w: nf.InvariantForm, sign: float = 1.0) -> float:
         return half * sum(wj, next(wj, 0.0))
 
     # entries formed from the same products are one array; apart, verification
-    # peaks 1 to 6 fields higher (NDIM_HESSIAN 32^3: 24.20, not 18.19)
+    # peaks up to 6 fields higher (NDIM_HESSIAN 32^3: 21.30, not 15.30)
     formed: dict = {}
     S = [[0.0] * st.rank for _ in range(st.rank)]
     for a in range(st.rank):
@@ -99,11 +99,11 @@ def verify_solution(
     require_finite(u, F)
     w, d_alpha, d_a = nf.ansatz_forms(u, structure_for(spec, u.grid))
     anti_norm, pot = nf.anti_invariant_norm(d_alpha), _potential_defect(d_a, w)
-    del d_alpha, d_a  # held, every verification peaks 3 to 6 fields higher
+    del d_alpha, d_a  # held, every verification peaks 1 to 6 fields higher
     ratio = nf.top_form_ratio(w)
     topform = float(np.max(np.abs(ratio.values - np.exp(F.values))))
     volume = abs(integrate(ratio) - 1.0)
-    del ratio  # held through the margin, every verification peaks 1 field higher
+    del ratio  # held through the margin, verification peaks 1 field higher (DETA_T3 32^3: 14.29)
     margin = compatibility_margin(w, sign=branch_sign(spec))
     passed = bool(anti_norm <= tol and topform <= tol and volume <= tol and margin > 0.0)
     return VerificationReport(

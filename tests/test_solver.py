@@ -461,6 +461,30 @@ class TestFailurePaths:
         rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)
         assert rep.status is sv.Status.BRANCH_LOST
 
+    def test_nan_start_margin_is_off_the_branch(self, g64, star64, monkeypatch):
+        # a NaN margin compares false with the floor both ways; it must not pass it
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.manufactured_datum(spec, star64)
+        monkeypatch.setattr(sv, "ellipticity_monitor", lambda ev: float("nan"))
+        with pytest.raises(ValueError, match="elliptic branch"):
+            sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), sv.SolverConfig())
+
+    def test_nan_trial_margin_loses_the_branch(self, g64, star64, monkeypatch):
+        # every trial with a NaN margin is shortened, as one below the floor is
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.manufactured_datum(spec, star64)
+        calls = {"n": 0}
+        real = sv.ellipticity_monitor
+
+        def nan_after_entry(ev):
+            calls["n"] += 1
+            return real(ev) if calls["n"] == 1 else float("nan")
+
+        monkeypatch.setattr(sv, "ellipticity_monitor", nan_after_entry)
+        rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64),
+                              sv.SolverConfig(max_backtracks=4))
+        assert rep.status is sv.Status.BRANCH_LOST
+
     def test_stalled_linear_solve_classified(self, g64, star64, monkeypatch):
         spec = eq.EquationSpec(eq.Family.STDMA)
         cfg = sv.SolverConfig()
