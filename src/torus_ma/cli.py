@@ -99,7 +99,7 @@ def evaluate_expression(expr: str, grid: TorusGrid, names: tuple[str, ...]) -> S
     try:
         with np.errstate(all="ignore"):
             vals = ev(tree)
-        return ScalarField(grid, np.broadcast_to(vals, grid.sizes).astype(float))
+        return ScalarField(grid, vals)
     except (ValueError, OverflowError, RecursionError) as exc:  # huge literal; deep nesting
         raise ConfigError(f"expression {expr!r} does not evaluate to a finite "
                           f"field: {exc}") from exc

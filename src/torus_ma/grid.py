@@ -7,9 +7,9 @@ row-major axis order; instances are treated as immutable after construction.
 
 Every field is real, so its spectrum is stored on the half spectrum of the
 last axis (`np.fft.rfftn`), and every spectral symbol has that shape.  Values
-are checked for finiteness where they enter: the public `ScalarField`
-constructor, and the public entry points of `equations`, `solver` and
-`verify`.  Fields computed from fields already on a grid are built unchecked.
+are stored C-ordered and checked for finiteness where they enter: the public
+`ScalarField` constructor, and the public entry points of `equations`,
+`solver` and `verify`.  Fields computed inside are built unchecked.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class ScalarField:
 
 def _grid_values(grid: TorusGrid, values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
-    return v if v.shape == grid.sizes else np.broadcast_to(v, grid.sizes).copy()
+    return np.ascontiguousarray(v) if v.shape == grid.sizes else np.broadcast_to(v, grid.sizes).copy()
 
 
 def require_finite(*fields: ScalarField) -> None:
@@ -196,9 +196,7 @@ def project_mean_zero(f: ScalarField) -> ScalarField:
 
 
 def invert_shifted_laplacian(r: ScalarField, sigma: float) -> ScalarField:
-    """Solve (sigma*I - Laplacian) w = r diagonally; w is held by its half spectrum."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    """Solve (sigma*I - Laplacian) w = r diagonally, sigma > 0; w is held by its half spectrum."""
     return _field(r.grid, hat=r.hat / r.grid.shifted_laplacian_symbol(sigma))
 
 

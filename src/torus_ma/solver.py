@@ -135,9 +135,7 @@ class SolveReport:
 
 
 def homotopy_datum(F: ScalarField, t: float) -> ScalarField:
-    """log(t e^F + 1 - t); the argument stays positive for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+    """log(t e^F + 1 - t) for t in [0, 1], where the argument stays positive."""
     vals = np.log(t * np.exp(F.values) + (1.0 - t))
     return ScalarField(F.grid, vals)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nilframe as nf
-from .equations import EquationSpec, branch_sign, min_eigenvalue, structure_for
+from .equations import EquationSpec, _check_grid, branch_sign, min_eigenvalue, structure_for
 from .grid import ScalarField, integrate, require_finite
 
 
@@ -96,7 +96,8 @@ def verify_solution(
     """
     if not u.grid.compatible(F.grid):
         raise ValueError("u and F must share one grid")
-    require_finite(u, F)
+    require_finite(F)
+    _check_grid(spec, u)
     w, d_alpha, d_a = nf.ansatz_forms(u, structure_for(spec, u.grid))
     anti_norm, pot = nf.anti_invariant_norm(d_alpha), _potential_defect(d_a, w)
     del d_alpha, d_a  # held, every verification peaks 1 to 6 fields higher

@@ -23,8 +23,7 @@ def grid3():
 
 def from_function(grid, fn):
     """Sample a callable of the grid coordinates (broadcast arrays) into a field."""
-    vals = fn(*grid.coords)
-    return ScalarField(grid, np.broadcast_to(vals, grid.sizes).astype(np.float64))
+    return ScalarField(grid, fn(*grid.coords))
 
 
 def rel_err(a, b):

@@ -72,6 +72,13 @@ def test_no_environment_variable_is_read(module):
     assert not _names(TREES[module]) & {"environ", "getenv"}
 
 
+def test_nilframe_raises_nothing():
+    # nilframe's forms and structures are built only inside the package,
+    # from values checked where they enter: it re-checks none of them
+    raises = [node.lineno for node in ast.walk(TREES["nilframe"]) if isinstance(node, ast.Raise)]
+    assert raises == [], f"nilframe raises at lines {raises}"
+
+
 COMPLEX_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
 
 

@@ -40,6 +40,14 @@ class TestExpressionGrammar:
         want = from_function(g, lambda x, y: np.exp(np.sin(2 * np.pi * x)) ** 2 / 2)
         assert np.max(np.abs(f.values - want.values)) < 1e-12
 
+    @pytest.mark.parametrize("expr", ["0.2*sin(2*pi*x1) + 0.15*cos(2*pi*y1)", "sin(2*pi*x2)"])
+    def test_values_are_c_ordered(self, expr):
+        # an expression that omits an axis broadcast to an axis-permuted
+        # array (strides (8192, 8, 256) and (256, 8192, 8) at 32^3), whose
+        # layout every product of the field then took on
+        f = cli.evaluate_expression(expr, TorusGrid((32, 32, 32)), ("x1", "x2", "y1"))
+        assert f.values.flags.c_contiguous
+
     @pytest.mark.parametrize("bad", [
         "__import__('os').system('true')",
         "open('/etc/passwd')",

@@ -255,9 +255,3 @@ class TestShiftedLaplacian:
         monkeypatch.undo()
         assert counts == {"rfftn": 0, "irfftn": 1, "fftn": 0, "ifftn": 0}
         assert rel_err(vals, want) <= 1e-14
-
-    def test_rejects_nonpositive_shift(self):
-        g = TorusGrid((8, 8))
-        with pytest.raises(ValueError):
-            invert_shifted_laplacian(ScalarField(g, 1.0), 0.0)
-

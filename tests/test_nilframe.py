@@ -165,12 +165,6 @@ class TestWedge:
         over = nf.wedge(om2, st.omega)
         assert over.degree == 6 and not over.terms
 
-    def test_grid_mismatch_rejected(self, grid3):
-        st_a = kt3(grid3)
-        st_b = kt3(TorusGrid((16, 16, 32)))
-        with pytest.raises(ValueError):
-            nf.wedge(st_a.omega, st_b.omega)
-
 
 class TestSignedSum:
     def test_sign_is_the_parity_of_every_permutation(self):
@@ -240,8 +234,12 @@ class TestSignedSum:
             def refuse(*args, _name=name):
                 raise AssertionError(f"{_name} called")
             monkeypatch.setattr(nf, name, refuse)
-        built = []
-        monkeypatch.setattr(nf.InvariantForm, "__post_init__", lambda self: built.append(1))
+        built, init = [], nf.InvariantForm.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(nf.InvariantForm, "__init__", counted_init)
         for op in (lambda: exterior_derivative(zero), lambda: exterior_derivative(one),
                    lambda: exterior_derivative(two), lambda: j_conjugate(two)):
             built.clear()
@@ -466,11 +464,6 @@ class TestTopFormRatio:
                     - mixed_derivative(u, 0, 1).values ** 2
                     - mixed_derivative(u, 1, 2).values ** 2)
             assert rel_err(r.values, want) <= 1e-10
-
-    def test_degree_restriction(self, grid3):
-        st = kt3(grid3)
-        with pytest.raises(ValueError):
-            nf.top_form_ratio(nf.InvariantForm(st, 1))
 
     @pytest.mark.parametrize("n", [2, 3], ids=["rank4", "rank6"])
     def test_top_form_ratio_takes_no_wedge(self, monkeypatch, rng, n):
