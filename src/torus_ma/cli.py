@@ -363,6 +363,20 @@ def _monitors_tree(report) -> dict:
     return out
 
 
+def _verify_into(tree: dict, u, F, spec, tol: float) -> bool:
+    """Verify u against the datum F into `tree`: its verification and error
+    code, or error code "verify" and the message of the ValueError that its
+    forms raise.  Returns whether it passed."""
+    try:
+        ver = verify_solution(u, F, spec, tol=tol)
+    except ValueError as exc:  # the forms of an extreme candidate overflow
+        tree.update(error_code="verify", message=str(exc))
+        return False
+    tree["verification"] = asdict(ver)
+    tree["error_code"] = "none" if ver.passed else "verify"
+    return ver.passed
+
+
 def run(cfg: RunConfig, force: bool = False) -> int:
     """Execute one configuration; returns the process exit status."""
     t_start = time.time()
@@ -394,14 +408,8 @@ def _run_into(cfg: RunConfig, out: Path, t_start: float) -> int:
             datum = _load_field(c["datum"], c["grid"], spec.axis_names)
         if cfg.mode == "verify":
             solution = _load_field(c["solution"], c["grid"], spec.axis_names)
-            try:
-                ver = verify_solution(solution, datum, spec, tol=c["verify_tol"])
-            except ValueError as exc:  # the forms of an extreme candidate overflow
-                tree.update(status="VerifyFailed", error_code="verify", message=str(exc))
-            else:
-                tree["verification"] = asdict(ver)
-                tree["status"] = "Verified" if ver.passed else "VerifyFailed"
-                tree["error_code"] = "none" if ver.passed else "verify"
+            passed = _verify_into(tree, solution, datum, spec, c["verify_tol"])
+            tree["status"] = "Verified" if passed else "VerifyFailed"
         try:
             if cfg.mode == "manufacture":
                 u_star = project_mean_zero(datum)
@@ -438,10 +446,8 @@ def _run_into(cfg: RunConfig, out: Path, t_start: float) -> int:
                 artifacts = {"u": "u.tma", "datum": "datum.tma"}
                 if not report.converged:
                     tree["error_code"] = "solver"
-                else:
-                    ver = verify_solution(report.u, F, spec, tol=c["verify_tol"])
-                    tree["verification"] = asdict(ver)
-                    tree["error_code"] = "none" if ver.passed else "verify"
+                else:  # the status stays the solver's: the solve converged
+                    _verify_into(tree, report.u, F, spec, c["verify_tol"])
                 tree.setdefault("timing", {})["solve_seconds"] = t_solve - t_start
         except ValueError as exc:
             tree.update(status="SolverError", error_code="solver", message=str(exc))

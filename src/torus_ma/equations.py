@@ -269,6 +269,12 @@ class Evaluation(dict):
     def residual(self) -> ScalarField:
         return ScalarField(self.u.grid, _pointwise(self.spec, self, self.entries))
 
+    @cached_property
+    def weights(self) -> dict:
+        """The weights of `_feature_weights` that are not zero everywhere,
+        taken once for the linearizer and the coefficient scale."""
+        return {k: g for k, g in _feature_weights(self).items() if np.any(g)}
+
 
 @dataclass(frozen=True)
 class _Statement:
@@ -455,13 +461,13 @@ def linearizer(ev: Evaluation):
 
     L(w) = sum_k g_k f_k(w) over the features f_k that the statement reads
     at u and whose weight g_k = dP/df_k at f(u) is not zero everywhere.  The
-    weights are taken once per build by the complex step Im P(f + i*eps*e_k)
-    / eps (Squire & Trapp 1998), exact to roundoff for the polynomial P, from
-    the features `ev` holds; per application only the features of w are
-    taken.  The closure holds no reference to `ev`.
+    weights are taken once per evaluation (`Evaluation.weights`) by the
+    complex step Im P(f + i*eps*e_k) / eps (Squire & Trapp 1998), exact to
+    roundoff for the polynomial P, from the features `ev` holds; per
+    application only the features of w are taken.  The closure holds no
+    reference to `ev`.
     """
-    spec, grid = ev.spec, ev.u.grid
-    weights = {k: g for k, g in _feature_weights(ev).items() if np.any(g)}
+    spec, grid, weights = ev.spec, ev.u.grid, ev.weights
 
     def apply(w: ScalarField) -> ScalarField:
         fw = Evaluation(spec, w)
@@ -471,6 +477,17 @@ def linearizer(ev: Evaluation):
         return _field(grid, vals)
 
     return apply
+
+
+def coefficient_scale(ev: Evaluation):
+    """The pointwise scale a of the linearization L w ~ a Laplacian(w):
+    a = |mean of the weights of the u_aa| in `ev.weights`.  None where L
+    weighs a divergence feature (e^{s h} u_a)_a: scaled, its even-grid
+    Nyquist mode took WARPED_T3 32^3 from 51 to 113 applies."""
+    if any(k[0] == "div" for k in ev.weights):
+        return None
+    diagonal = [g for k, g in ev.weights.items() if len(k) == 2 and k[0] == k[1]]
+    return np.abs(sum(diagonal) / len(diagonal))
 
 
 def manufactured_datum(spec: EquationSpec, u_star: ScalarField) -> ScalarField:

@@ -6,7 +6,9 @@ with a damped Newton corrector at every node.  Each Newton step solves the
 linearized equation augmented by an auxiliary constant b and the mean-zero
 gauge, through a preconditioned Krylov iteration: the operator is
 nonsymmetric whenever first-order terms are present, so restarted GMRES is
-used, right-preconditioned by the shifted-Laplacian inverse.
+used, right-preconditioned on the field part v by (sigma I - Laplacian)^{-1}
+(-v/a), with a the linearization's own pointwise scale (L w ~ a Laplacian(w));
+a statement that reads a divergence feature keeps (sigma I - Laplacian)^{-1} v.
 
 The auxiliary constant makes the discrete system square without assuming the
 interpolated right-hand side stays compatible; |b| at convergence is itself
@@ -26,6 +28,7 @@ from .equations import (
     Evaluation,
     Family,
     branch_sign,
+    coefficient_scale,
     datum_log_weight,
     evaluate,
     linearizer,
@@ -201,13 +204,15 @@ def gmres(AM, b, M, rtol, restart, maxiter):
     return (M(y) if steps else y), (0 if beta <= tol else steps), beta
 
 
-def _linear_solve(L, grid, rhs_field, cfg, rtol):
+def _linear_solve(L, grid, rhs_field, cfg, rtol, a):
     """Solve [L(w) - b ; mean(w)] = [rhs_field ; 0] by `gmres`, right-
-    preconditioned by the shifted-Laplacian inverse of the field part, which
-    L reads as its half spectrum; the gauge row takes mean(w) from its zero
-    mode.  Returns the step, the relative residual that GMRES stopped at, the
-    smallest-singular-value witness |rhs| / |x|, the GMRES `info` and the
-    number of operator applies.
+    preconditioned on the field part v by w = (sigma I - Laplacian)^{-1}(-v/a),
+    with a the linearization's pointwise scale (`coefficient_scale`), or by
+    (sigma I - Laplacian)^{-1} v where a is None.  L reads w as its half
+    spectrum; the gauge row takes mean(w) from its zero mode.  Returns the
+    step, the relative residual that GMRES stopped at, the smallest-singular-
+    value witness |rhs| / |x|, the GMRES `info` and the number of operator
+    applies.
     """
     npts, shape = grid.npoints, grid.sizes
     applies = 0
@@ -218,7 +223,8 @@ def _linear_solve(L, grid, rhs_field, cfg, rtol):
         return np.append(L(w).values.ravel() - beta, w.hat.flat[0].real / npts)
 
     def precond(v):
-        return invert_shifted_laplacian(_field(grid, v[:npts].reshape(shape)), cfg.sigma)
+        v = v[:npts].reshape(shape)
+        return invert_shifted_laplacian(_field(grid, v if a is None else -v / a), cfg.sigma)
 
     rhs = np.append(rhs_field.ravel(), 0.0)
     x, info, residual = gmres(lambda v: apply(precond(v), v[npts]), rhs,
@@ -276,9 +282,9 @@ def newton_solve(
     for _ in range(cfg.max_newton):
         if hist[-1] <= cfg.newton_tol:
             break
-        L = linearizer(ev)
+        L, a = linearizer(ev), coefficient_scale(ev)
         ev = ev_try = None  # no evaluation is held through the Krylov solve
-        w_vals, beta, achieved, wit, info, applies = _linear_solve(L, grid, -r, cfg, forcing)
+        w_vals, beta, achieved, wit, info, applies = _linear_solve(L, grid, -r, cfg, forcing, a)
         witness = min(witness, wit)
         matvecs += applies
         capped += info != 0

@@ -292,6 +292,21 @@ class TestRunPipeline:
         tree = cli.read_report(report)
         assert (tree["status"], tree["error_code"]) == ("VerifyFailed", "verify")
 
+    def test_solve_mode_verify_error_exits_four(self, tmp_path, capsys, monkeypatch):
+        # an error raised while verifying a converged solve was reported as
+        # a SolverError, exit 3; verify mode reports the same error as exit 4
+        def overflow(*args, **kwargs):
+            raise ValueError("forms overflow")
+
+        monkeypatch.setattr(cli, "verify_solution", overflow)
+        code, report = run_config(tmp_path, "solve", STDMA_8)
+        assert code == 4
+        tree = cli.read_report(report)
+        assert (tree["status"], tree["error_code"]) == ("Converged", "verify")
+        assert tree["message"] == "forms overflow"
+        assert "verification" not in tree
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_selftest_mode(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", mode="selftest",
                            out=str(tmp_path / "run"), seed=3)

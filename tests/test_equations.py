@@ -410,6 +410,31 @@ def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):
     assert rel_err(eq.linearizer(eq.evaluate(spec, u))(w).values, want) < 1e-12
 
 
+@pytest.mark.parametrize("spec,grid", _family_cases())
+def test_coefficient_scale_is_mean_diagonal_weight(spec, grid, rng):
+    # |mean over the u_aa of their weights|, from the weights the linearizer
+    # sums; None exactly where the statement weighs a divergence feature
+    u = branch_safe_field(grid, rng, max_mode=1, hessian_scale=0.2)
+    ev = eq.evaluate(spec, u)
+    a = eq.coefficient_scale(ev)
+    if spec.family in (eq.Family.WARPED, eq.Family.WARPED_T3):
+        assert a is None
+        return
+    diagonal = [g for k, g in eq._feature_weights(ev).items() if len(k) == 2 and k[0] == k[1]]
+    assert len(diagonal) == spec.dim
+    assert rel_err(a, np.abs(np.mean(diagonal, axis=0))) < 1e-14
+    assert np.min(a) > 0.0
+
+
+def test_coefficient_scale_closed_form_stdma(grid2, rng):
+    # P = (1 + u_xx)(1 + u_yy) - u_xy^2: the u_xx and u_yy weights are
+    # 1 + u_yy and 1 + u_xx, so a = 1 + (u_xx + u_yy) / 2 on the branch
+    u = branch_safe_field(grid2, rng, max_mode=2, hessian_scale=0.3)
+    want = 1.0 + 0.5 * (mixed_derivative(u, 0, 0).values + mixed_derivative(u, 1, 1).values)
+    assert rel_err(eq.coefficient_scale(eq.evaluate(eq.EquationSpec(eq.Family.STDMA), u)),
+                   want) < 1e-14
+
+
 class TestManufactureAndNormalize:
     def test_zero_candidate_gives_zero_datum(self, grid2):
         spec = eq.EquationSpec(eq.Family.STDMA)

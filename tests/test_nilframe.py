@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_ma import nilframe as nf
+from torus_ma.equations import EquationSpec, Family
 from torus_ma.grid import (
     ScalarField,
     TorusGrid,
@@ -15,6 +16,7 @@ from torus_ma.grid import (
     mixed_derivative,
     random_trig_field,
 )
+from torus_ma.verify import verify_solution
 
 from conftest import from_function, permutation_sign, rel_err, wedge_power_ratio
 from oracles import (ansatz_one_form, coefficient, exterior_derivative, j_conjugate, type_split,
@@ -439,10 +441,14 @@ class TestAnsatz:
                        -derivative(u, 3, 1).values - u.values) < 1e-12
 
     def test_scalar_on_wrong_grid_rejected(self, grid3):
-        st = kt3(grid3)
-        other = ScalarField(TorusGrid((16, 16)), np.zeros((16, 16)))
-        with pytest.raises(ValueError):
-            nf.ansatz_forms(other, st)
+        # ansatz_forms checks no grid: its public path, verify_solution,
+        # checks the candidate where it enters
+        spec = EquationSpec(Family.DETA_T3)
+        flat = TorusGrid((16, 16))
+        with pytest.raises(ValueError, match="3-torus"):
+            verify_solution(ScalarField(flat, 0.0), ScalarField(flat, 0.0), spec)
+        with pytest.raises(ValueError, match="one grid"):
+            verify_solution(ScalarField(TorusGrid((8, 8, 8)), 0.0), ScalarField(grid3, 0.0), spec)
 
 
 class TestTopFormRatio:

@@ -128,7 +128,7 @@ class TestGmres:
 
         cfg = sv.SolverConfig(lin_maxiter=maxiter, lin_restart=restart)
         rhs = rng.standard_normal(g.sizes)
-        _, _, achieved, _, info, applies = sv._linear_solve(L, g, rhs, cfg, 1e-12)
+        _, _, achieved, _, info, applies = sv._linear_solve(L, g, rhs, cfg, 1e-12, None)
         assert info == maxiter
         # one true residual per restart, one measuring the capped step
         assert applies == maxiter + math.ceil(maxiter / restart)
@@ -138,17 +138,20 @@ class TestGmres:
     def test_krylov_apply_takes_one_forward_transform(self, rng, monkeypatch, family):
         # per apply: one forward transform of the Krylov vector, one inverse
         # per feature with a nonzero weight, and each warped divergence flux
-        # its own pair; per solve: one pair forming the step x = M(V y)
+        # its own pair; per solve: one pair forming the step x = M(V y).  The
+        # coefficient scale (None on WARPED) takes no transform
         g = TorusGrid((8, 8, 8) if family == "DETA_T3" else (16, 16))
         h = from_function(g, lambda x, *_: 0.3 * np.sin(2 * np.pi * x))
         spec = eq.EquationSpec(family, **({"c": 1.0, "h": h} if family == "WARPED" else {}))
         u = branch_safe_field(g, rng, max_mode=1, hessian_scale=0.2)
-        L = eq.linearizer(eq.evaluate(spec, u))
+        ev = eq.evaluate(spec, u)
+        L, a = eq.linearizer(ev), eq.coefficient_scale(ev)
+        assert (a is None) == (family == "WARPED")
         fwd, inv = apply_transforms(spec, u)
         assert (fwd, inv) == {"STDMA": (1, 3), "DETA_T3": (1, 6), "WARPED": (2, 4)}[family]
         rhs = random_trig_field(g, rng, max_mode=2).values
         counts = count_transforms(monkeypatch)
-        *_, info, applies = sv._linear_solve(L, g, rhs, sv.SolverConfig(), 1e-6)
+        *_, info, applies = sv._linear_solve(L, g, rhs, sv.SolverConfig(), 1e-6, a)
         monkeypatch.undo()
         assert info == 0
         assert applies > 1
@@ -295,6 +298,38 @@ class TestContinuity:
             assert abs(node.b) <= 10 * cfg.newton_tol
         r = eq.residual(spec, rep.u)
         assert np.max(np.abs(r.values - np.exp(F.values))) <= 1e-9
+
+    @pytest.mark.parametrize("amp, nodes", [
+        (0.8, [(0.25, 4), (0.75, 4), (1.0, 4)]),
+        (3.0, [(0.25, 5), (0.5, 4), (1.0, 6)]),
+    ])
+    def test_quick_node_doubles_the_step(self, amp, nodes):
+        # a node accepted in at most 4 Newton steps doubles the step; one
+        # that took 5 keeps it
+        g = TorusGrid((32, 32))
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.normalize_datum(spec, from_function(
+            g, lambda x, y: amp * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)))
+        rep = sv.continuity_solve(spec, F, sv.SolverConfig(dt_init=0.25))
+        assert rep.converged and rep.rejected == []
+        assert [(node.t, node.newton_iterations) for node in rep.trace] == [(0.0, 0), *nodes]
+
+    def test_coefficient_scale_cuts_krylov_applies(self, monkeypatch):
+        # L w ~ a Laplacian(w) on the Hessian family: dividing the
+        # preconditioned vector by -a took this solve from 41 applies to 26,
+        # with the same nodes
+        g = TorusGrid((12, 12, 12))
+        spec = eq.EquationSpec(eq.Family.NDIM_HESSIAN, n=3)
+        star = project_mean_zero(from_function(
+            g, lambda x1, x2, x3: 0.008 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+            + 0.006 * np.cos(2 * np.pi * x2) * np.sin(2 * np.pi * x3)))
+        F = eq.normalize_datum(spec, eq.manufactured_datum(spec, star))
+        scaled = sv.continuity_solve(spec, F, sv.SolverConfig())
+        monkeypatch.setattr(sv, "coefficient_scale", lambda ev: None)
+        plain = sv.continuity_solve(spec, F, sv.SolverConfig())
+        assert scaled.converged and plain.converged
+        assert len(scaled.trace) == len(plain.trace)
+        assert scaled.monitors["krylov_matvecs"] <= 0.7 * plain.monitors["krylov_matvecs"]
 
     def test_warped_final_step_not_capped(self, g64, star64):
         # the last Newton step of a node used to chase lin_rtol past what
@@ -485,12 +520,31 @@ class TestFailurePaths:
         cfg = sv.SolverConfig()
         F = eq.manufactured_datum(spec, star64)
 
-        def garbage(L, grid, rhs_field, cfg_, rtol):
+        def garbage(L, grid, rhs_field, cfg_, rtol, a):
             return np.zeros(grid.sizes), 0.0, 1.0, 1.0, 0, 1
 
         monkeypatch.setattr(sv, "_linear_solve", garbage)
         rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), cfg)
         assert rep.status is sv.Status.LINEAR_SOLVE_STALLED
+
+    @pytest.mark.parametrize("achieved, status", [
+        (0.1, sv.Status.CONVERGED),
+        (0.15, sv.Status.LINEAR_SOLVE_STALLED),
+    ])
+    def test_stall_threshold_is_a_tenth(self, g64, star64, monkeypatch, achieved, status):
+        # a linear solve is stalled once its achieved relative residual
+        # exceeds 0.1; the step itself is the real one
+        spec = eq.EquationSpec(eq.Family.STDMA)
+        F = eq.manufactured_datum(spec, star64)
+        real = sv._linear_solve
+
+        def reported(*args):
+            w, beta, _, wit, info, applies = real(*args)
+            return w, beta, achieved, wit, info, applies
+
+        monkeypatch.setattr(sv, "_linear_solve", reported)
+        rep = sv.newton_solve(spec, sv.homotopy_datum(F, 1.0), zero_field(g64), sv.SolverConfig())
+        assert rep.status is status
 
     def test_nonfinite_krylov_step_raises(self, g64, star64, monkeypatch):
         # the Krylov vectors are unchecked; the trial built from a NaN step
@@ -600,7 +654,37 @@ def test_readme_documents_every_solver_field():
     assert all(ast.literal_eval(text) == f.default for (_, text), f in zip(rows, fields))
 
 
+def _dense_bound_constant(h, c, n=60000):
+    """The warped bound max_s e^{-h(s) - cQ(s)} max(int_{s-1}^s e^{cQ},
+    int_s^{s+1} e^{cQ}), Q(s) = int_0^s e^{-h}, for a callable 1-periodic h:
+    Q and both windows by the trapezoid rule on n points per period over
+    [-1, 2], the windows read off the cumulative integral directly."""
+    s = np.arange(-n, 2 * n + 1) / n
+    eh = np.exp(-h(s))
+    cum = np.concatenate([[0.0], np.cumsum(eh[1:] + eh[:-1]) / (2 * n)])
+    Q = cum - cum[n]  # Q(0) = 0
+    ecq = np.exp(c * Q)
+    J = np.concatenate([[0.0], np.cumsum(ecq[1:] + ecq[:-1]) / (2 * n)])
+    at = np.arange(n, 2 * n)  # s in [0, 1)
+    window = np.maximum(J[at] - J[at - n], J[at + n] - J[at])
+    return float(np.max(eh[at] * np.exp(-c * Q[at]) * window))
+
+
 class TestGradientBound:
+    @pytest.mark.parametrize("c", [1.0, -1.0, 2.5, -4.0])
+    def test_warped_constant_matches_dense_quadrature(self, c):
+        # a non-constant h has q = mean(e^{-h}) far from 1, so the period
+        # growth e^{+-cq} of the windows is told apart from e^{+-c/q}
+        def h(s):
+            return 0.6 * np.sin(2 * np.pi * s) + 0.3 * np.cos(4 * np.pi * s) - 0.4
+
+        # both take the max over sample points: 8192 against 60000 a period
+        # puts them 8.4e-8 apart
+        x = np.arange(64) / 64
+        assert sv._bound_constant(h(x), c) == pytest.approx(
+            _dense_bound_constant(h, c), rel=1e-6, abs=0.0)
+
+
     def test_flat_profile_constant_is_one(self, g64):
         # with no warp and no drift the comparison constant is the period mass
         zero = zero_field(g64)
