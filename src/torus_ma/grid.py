@@ -100,6 +100,17 @@ class TorusGrid:
 
         return self._cached_symbol((axis, order), build)
 
+    def symbol(self, key: tuple[int, ...]) -> np.ndarray:
+        """Read-only Fourier multiplier of the feature key (a,), d/dx_a, or
+        (a, b), d^2/dx_a dx_b: for distinct axes the product of the two
+        first-order multipliers, each with its Nyquist mode zeroed, formed
+        once per grid."""
+        a, *b = key
+        if not b or b == [a]:
+            return self.multiplier(a, len(key))
+        return self._cached_symbol(("mixed", *key),
+                                   lambda: self.multiplier(a, 1) * self.multiplier(b[0], 1))
+
     def shifted_laplacian_symbol(self, sigma: float) -> np.ndarray:
         """Read-only Fourier symbol of sigma*I - Laplacian on the half spectrum."""
         sigma = float(sigma)
@@ -175,15 +186,9 @@ def derivative(f: ScalarField, axis: int, order: int = 1) -> ScalarField:
 
 
 def mixed_derivative(f: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
-    """Second mixed derivative; axis order is immaterial.
-
-    For distinct axes the product of the two first-order multipliers, each
-    with its Nyquist mode zeroed, is applied in one inverse transform.
-    """
-    if axis_a == axis_b:
-        return derivative(f, axis_a, 2)
-    mult = f.grid.multiplier(axis_a, 1) * f.grid.multiplier(axis_b, 1)
-    return _field(f.grid, hat=f.hat * mult)
+    """Second mixed derivative, held by its half spectrum; axis order is
+    immaterial."""
+    return _field(f.grid, hat=f.hat * f.grid.symbol((min(axis_a, axis_b), max(axis_a, axis_b))))
 
 
 def integrate(f: ScalarField) -> float:

@@ -68,17 +68,32 @@ def peak_fields(grid, call):
     return (peak - held) / (8 * grid.npoints)
 
 
+def weight_groups(weights):
+    """The features of {feature: weight} grouped by bit-identical weights, in
+    order of their first feature; one group per feature where any feature is
+    a weighted divergence."""
+    groups = []
+    for k, g in weights.items():
+        for h, keys in groups:
+            if not any(j[0] == "div" for j in weights) and np.array_equal(h, g):
+                keys.append(k)
+                break
+        else:
+            groups.append((g, [k]))
+    return groups
+
+
 def apply_transforms(spec, u):
     """(forward, inverse) n-D transforms of one linearization apply at u: one
-    forward transform of w and one inverse per feature whose weight is not
+    forward transform of w and one inverse per distinct weight that is not
     zero everywhere, and per weighted divergence (e^{sh} w_a)_a one forward
     of the weighted product plus one inverse for w_a unless w_a is itself
     such a feature."""
     from torus_ma import equations as eq
 
-    keys = [k for k, g in eq._feature_weights(eq.evaluate(spec, u)).items() if np.any(g)]
-    divs = [k for k in keys if k[0] == "div"]
-    return 1 + len(divs), len(keys) + sum((k[1],) not in keys for k in divs)
+    weights = {k: g for k, g in eq._feature_weights(eq.evaluate(spec, u)).items() if np.any(g)}
+    divs = [k for k in weights if k[0] == "div"]
+    return 1 + len(divs), len(weight_groups(weights)) + sum((k[1],) not in weights for k in divs)
 
 
 def permutation_sign(perm):

@@ -10,7 +10,10 @@
 
 For each case it prints the status, the operator applies, the capped Krylov
 solves, the accepted and rejected continuation nodes, sigma_min_witness and
-the wall time of `continuity_solve`.  Naming cases runs only those.
+the wall time of `continuity_solve`.  It also prints the points that the
+ellipticity monitor handed to LAPACK (`np.linalg.eigvalsh`, wrapped here):
+their mean per monitor call and the most in one call, as a share of the
+grid's points.  Naming cases runs only those.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import time
 import numpy as np
 
 from torus_ma import EquationSpec, Family, ScalarField, SolverConfig, TorusGrid, continuity_solve
+from torus_ma import solver
 from torus_ma.equations import normalize_datum
 
 
@@ -50,16 +54,32 @@ CASES = {
 
 
 def main(names: list[str]) -> None:
+    lapack: list[int] = []  # the points each monitor call handed to LAPACK
+    eigvalsh, monitor = np.linalg.eigvalsh, solver.ellipticity_monitor
+
+    def counted_eigvalsh(a):
+        lapack[-1] += len(a)
+        return eigvalsh(a)
+
+    def counted_monitor(ev):
+        lapack.append(0)
+        return monitor(ev)
+
+    np.linalg.eigvalsh, solver.ellipticity_monitor = counted_eigvalsh, counted_monitor
     print(f"{'case':14} {'status':20} {'applies':>8} {'capped':>6} {'nodes':>5} "
-          f"{'rejected':>8} {'sigma_min_witness':>17} {'time_s':>7}")
+          f"{'rejected':>8} {'sigma_min_witness':>17} {'time_s':>7} "
+          f"{'lapack_mean':>11} {'lapack_max':>10}")
     for name in names or CASES:
         spec, F, cfg = CASES[name]()
+        lapack.clear()
         t0 = time.perf_counter()
         rep = continuity_solve(spec, F, cfg)
         secs = time.perf_counter() - t0
+        share = [k / F.grid.npoints for k in lapack]
         print(f"{name:14} {rep.status.value:20} {rep.monitors['krylov_matvecs']:8d} "
               f"{rep.monitors['krylov_capped']:6d} {len(rep.trace) - 1:5d} "
-              f"{len(rep.rejected):8d} {rep.sigma_min_witness:17.3e} {secs:7.2f}", flush=True)
+              f"{len(rep.rejected):8d} {rep.sigma_min_witness:17.3e} {secs:7.2f} "
+              f"{np.mean(share):11.1%} {max(share):10.1%}", flush=True)
 
 
 if __name__ == "__main__":

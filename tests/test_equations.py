@@ -16,7 +16,8 @@ from torus_ma.grid import (
     random_trig_field,
 )
 
-from conftest import apply_transforms, branch_safe_field, count_transforms, from_function, rel_err
+from conftest import (apply_transforms, branch_safe_field, count_transforms, from_function, rel_err,
+                      weight_groups)
 from oracles import ndim_printed, residual_geom
 
 
@@ -347,11 +348,13 @@ def _family_cases():
 
 
 # (forward, inverse) transforms of one apply at a generic u: a feature whose
-# weight is zero everywhere (u_x and u_y where m1 = m2 = 0) takes none
+# weight is zero everywhere (u_x and u_y where m1 = m2 = 0) takes none, and
+# the features one matrix entry adds share one (GENMA's l2 + u_yy + u_y, the
+# first diagonal entry of DETA_T3, NDIM_FULL and NDIM_B)
 _APPLY_TRANSFORMS = {
-    "STDMA": (1, 3), "GENMA": (1, 4), "LAGR_X1X2": (1, 3), "LAGR_X2Y1": (1, 5),
-    "WARPED": (2, 4), "DETA_T3": (1, 6), "WARPED_T3": (3, 7), "NDIM_FULL": (1, 10),
-    "NDIM_HESSIAN": (1, 6), "NDIM_B": (1, 7),
+    "STDMA": (1, 3), "GENMA": (1, 3), "LAGR_X1X2": (1, 3), "LAGR_X2Y1": (1, 5),
+    "WARPED": (2, 4), "DETA_T3": (1, 4), "WARPED_T3": (3, 7), "NDIM_FULL": (1, 8),
+    "NDIM_HESSIAN": (1, 6), "NDIM_B": (1, 6),
 }
 
 
@@ -369,23 +372,76 @@ def test_linearizer_takes_each_derivative_once(spec, grid, rng, monkeypatch):
     assert counts == {"rfftn": expected_fwd, "irfftn": expected_inv, "fftn": 0, "ifftn": 0}
 
 
+def _symbol(grid, key):
+    """The Fourier multiplier of the feature u_a (key (a,)) or u_ab (key (a, b))."""
+    a, *b = key
+    if not b:
+        return grid.multiplier(a, 1)
+    return grid.multiplier(a, 2) if b == [a] else grid.multiplier(a, 1) * grid.multiplier(b[0], 1)
+
+
+def _apply_at(spec, grid, at, rng):
+    u = (ScalarField(grid, np.zeros(grid.sizes)) if at == "zero"
+         else random_trig_field(grid, rng, max_mode=1, scale=0.05))
+    return u, random_trig_field(grid, rng, max_mode=2, scale=1.0)
+
+
+def _feature_sum(spec, u, w):
+    """sum_k g_k f_k(w) over the features whose weight is not zero everywhere,
+    one inverse transform per feature."""
+    fw = eq.Evaluation(spec, w)
+    out = np.zeros(w.grid.sizes)
+    for k, g in eq._feature_weights(eq.evaluate(spec, u)).items():
+        if np.any(g):
+            out += g * fw[k]
+    return out
+
+
 @pytest.mark.parametrize("spec,grid", _family_cases())
 @pytest.mark.parametrize("at", ["zero", "random"])
 def test_dropped_zero_weights_change_no_bit(spec, grid, at, rng):
     # L sums only the features whose weight is not zero everywhere; the sum
-    # over every feature the statement read, zero weights included, is the
-    # same bit for bit
-    u = (ScalarField(grid, np.zeros(grid.sizes)) if at == "zero"
-         else random_trig_field(grid, rng, max_mode=1, scale=0.05))
-    w = random_trig_field(grid, rng, max_mode=2, scale=1.0)
+    # over every feature the statement read, zero weights included, grouped
+    # by bit-identical weight, is the same bit for bit
+    u, w = _apply_at(spec, grid, at, rng)
     weights = eq._feature_weights(eq.evaluate(spec, u))
     # at u = 0 every family has an off-diagonal entry whose weight vanishes
     assert at == "random" or not all(np.any(g) for g in weights.values())
     fw = eq.Evaluation(spec, w)
     full = np.zeros(grid.sizes)
-    for k, g in weights.items():
-        full += g * fw[k]
+    for g, keys in weight_groups(weights):
+        if len(keys) == 1:
+            full += g * fw[keys[0]]
+        else:
+            total = _symbol(grid, keys[0])
+            for k in keys[1:]:
+                total = total + _symbol(grid, k)
+            full += g * np.fft.irfftn(w.hat * total, s=grid.sizes, axes=tuple(range(grid.d)))
     assert np.array_equal(eq.linearizer(eq.evaluate(spec, u))(w).values, full)
+
+
+@pytest.mark.parametrize("spec,grid", _family_cases())
+@pytest.mark.parametrize("at", ["zero", "random"])
+def test_grouped_apply_matches_feature_sum(spec, grid, at, rng):
+    # one inverse transform per distinct weight moves L(w) from the sum of
+    # one transform per feature at roundoff only
+    u, w = _apply_at(spec, grid, at, rng)
+    want = _feature_sum(spec, u, w)
+    assert rel_err(eq.linearizer(eq.evaluate(spec, u))(w).values, want) <= 1e-13
+
+
+@pytest.mark.parametrize("spec,grid", [c for c in _family_cases()
+                                       if c.id in ("WARPED", "WARPED_T3")])
+@pytest.mark.parametrize("at", ["zero", "random"])
+def test_divergence_statement_apply_unchanged(spec, grid, at, rng):
+    # a statement that reads a divergence feature takes one transform per
+    # feature, even where two weights are equal bit for bit (at u = 0, the
+    # divergence and the u_yy of WARPED both weigh e^{-h})
+    u, w = _apply_at(spec, grid, at, rng)
+    weights = [g for g in eq._feature_weights(eq.evaluate(spec, u)).values() if np.any(g)]
+    assert at == "random" or any(np.array_equal(g, h) for i, g in enumerate(weights)
+                                 for h in weights[i + 1:])
+    assert np.array_equal(eq.linearizer(eq.evaluate(spec, u))(w).values, _feature_sum(spec, u, w))
 
 
 def test_linearizer_takes_every_feature_the_statement_reads(monkeypatch, rng):

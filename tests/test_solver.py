@@ -137,7 +137,7 @@ class TestGmres:
     @pytest.mark.parametrize("family", ["STDMA", "DETA_T3", "WARPED"])
     def test_krylov_apply_takes_one_forward_transform(self, rng, monkeypatch, family):
         # per apply: one forward transform of the Krylov vector, one inverse
-        # per feature with a nonzero weight, and each warped divergence flux
+        # per distinct nonzero weight, and each warped divergence flux
         # its own pair; per solve: one pair forming the step x = M(V y).  The
         # coefficient scale (None on WARPED) takes no transform
         g = TorusGrid((8, 8, 8) if family == "DETA_T3" else (16, 16))
@@ -148,7 +148,7 @@ class TestGmres:
         L, a = eq.linearizer(ev), eq.coefficient_scale(ev)
         assert (a is None) == (family == "WARPED")
         fwd, inv = apply_transforms(spec, u)
-        assert (fwd, inv) == {"STDMA": (1, 3), "DETA_T3": (1, 6), "WARPED": (2, 4)}[family]
+        assert (fwd, inv) == {"STDMA": (1, 3), "DETA_T3": (1, 4), "WARPED": (2, 4)}[family]
         rhs = random_trig_field(g, rng, max_mode=2).values
         counts = count_transforms(monkeypatch)
         *_, info, applies = sv._linear_solve(L, g, rhs, sv.SolverConfig(), 1e-6, a)

@@ -524,6 +524,25 @@ def _symmetric(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
+def _screened(rng, shape, r):
+    """A stack whose eight lowest Gershgorin bounds lie at points of wide
+    spread and smallest eigenvalue 1, so that every other point is a
+    candidate for LAPACK, with smallest eigenvalues 1.1 to 2.1; and the
+    slack of `min_eigenvalue` on it."""
+    lam = np.concatenate([1.1 + rng.random(shape + (1,)),
+                          50.0 + 50.0 * rng.random(shape + (r - 1,))], -1)
+    lam.reshape(-1, r)[:8] *= [1.0] + [10.0] * (r - 1)
+    lam.reshape(-1, r)[:8, 0] = 1.0
+    stack = _spectral(rng, lam)
+    return stack, 64 * r * r * np.finfo(float).eps * np.max(np.sum(np.abs(stack), -1))
+
+
+def _spectral(rng, lam):
+    """Q diag(lam) Q^T at each point, with Q a random orthogonal matrix."""
+    q = np.linalg.qr(rng.standard_normal(lam.shape + lam.shape[-1:]))[0]
+    return _symmetric((q * lam[..., None, :]) @ np.swapaxes(q, -1, -2))
+
+
 @functools.cache
 def _stack_cases():
     rng = np.random.default_rng(5)
@@ -552,6 +571,44 @@ def _stack_cases():
     tied = np.broadcast_to(one, shape + (4, 4)).copy()
     tied[rng.random(shape) < 0.5] += 10.0 * np.eye(4)
     cases["scalar-ties"] = tied
+    # the inertia screen's cases: every point below is a Gershgorin candidate
+    for r in (5, 7, 8):
+        cases[f"random-r{r}"] = _symmetric(rng.standard_normal(shape + (r, r)))
+    # minima 0.5 slack below and 0.5, 1, 2 and 3 slacks above those of the
+    # lowest bounds
+    for r in (2, 3, 6, 8):
+        stack, slack = _screened(rng, shape, r)
+        near = np.array([-0.5, 0.5, 1.0, 2.0, 3.0])[:, None] * [slack] + [1.0, 1.1]
+        near = np.concatenate([near, 1.1 + 0.2 * rng.random((5, r - 2))], -1)
+        stack.reshape(-1, r, r)[8:13] = _spectral(rng, near)
+        cases[f"near-ties-r{r}"] = stack
+    # the same on 96 x 96 points, which the screen takes in 18 chunks, with
+    # the near ties in the last
+    stack, slack = _screened(rng, (96, 96), 4)
+    near = np.array([-0.5, 0.5, 1.0, 2.0, 3.0])[:, None] * [slack] + [1.0, 1.1]
+    near = np.concatenate([near, 1.1 + 0.2 * rng.random((5, 2))], -1)
+    stack.reshape(-1, 4, 4)[-5:] = _spectral(rng, near)
+    cases["near-ties-chunked"] = stack
+    # minima tied to roundoff along a line of points, as on NDIM_HESSIAN's u*
+    plateau = _screened(rng, shape, 3)[0]
+    plateau[4] = _spectral(rng, np.array([0.5, 0.8, 1.2]))[None] + _symmetric(
+        rng.integers(-2, 3, (shape[1], 3, 3)) * np.finfo(float).eps)
+    cases["plateau"] = plateau
+    # indefinite and nearly singular points, one with a zero leading entry
+    odd = _screened(rng, shape, 3)[0]
+    odd.reshape(-1, 3, 3)[8:13] = [
+        *_spectral(rng, np.array([[-1.0, 2.0, 3.0], [1e-17, 1.0, 2.0], [0.0, 1.0, 2.0]])),
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]],
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0 + 1e-15]]]
+    cases["indefinite-singular"] = odd
+    # entries about LAPACK's rescaling thresholds, near 1e+-146: the anchors
+    # are 1000 times the other points
+    for e in (-148, -146, 143, 145):
+        cases[f"scaled-1e{e}"] = cases["near-ties-r3"] * 10.0 ** e
+    # constant entries as Python floats about a near-tie block
+    near = np.zeros(shape + (3, 3))
+    near[..., :2, :2], near[..., 2, 2] = cases["near-ties-r2"], 7.0
+    cases["scalar-near-ties"] = near
     return cases
 
 
@@ -653,3 +710,55 @@ def test_margin_calls_lapack_on_few_points(monkeypatch, name, sizes):
         seen.clear()
         sv.ellipticity_monitor(eq.evaluate(spec, field))
         assert sum(seen) <= limit
+
+
+def test_monitor_lapack_points_are_screened(monkeypatch):
+    # minima tied to roundoff fill lines of points of the solved potential:
+    # its Gershgorin candidates handed LAPACK up to 3 858 of the 13 824
+    # points per call, until the inertia test cleared all but 1 042 of them
+    g = TorusGrid((24,) * 3)
+    spec = _criterion_fields()["NDIM_HESSIAN"][0]
+    F = eq.normalize_datum(spec, eq.manufactured_datum(spec, _star_hessian(g)))
+    seen, calls = [], []
+    real_eigvalsh, real_min = np.linalg.eigvalsh, sv.min_eigenvalue
+
+    def counted(a):
+        seen.append(len(a))
+        return real_eigvalsh(a)
+
+    def per_call(S):
+        seen.clear()
+        out = real_min(S)
+        calls.append(sum(seen))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(sv, "min_eigenvalue", per_call)
+    rep = sv.continuity_solve(spec, F, sv.SolverConfig())
+    monkeypatch.undo()
+    assert rep.converged
+    assert 0 < max(calls) <= 1100
+    assert (sv.ellipticity_monitor(eq.evaluate(spec, rep.u))
+            == _dense_min(_dense_coefficients(spec, rep.u)))
+
+
+@pytest.mark.parametrize("parts, passed", [
+    ({}, True), ({"margin": 0.0}, False), ({"anti": 2.0}, False),
+    ({"topform": 2.0}, False), ({"volume": 2.0}, False)],
+    ids=["at-tol", "zero-margin", "anti-above", "topform-above", "volume-above"])
+def test_pass_rule_boundaries(monkeypatch, parts, passed):
+    # a defect exactly at tol passes, and a margin of exactly 0.0 fails.  tol
+    # is a power of two, so 1 + tol - 1 is tol exactly; a part given in
+    # `parts` is that many tol (the margin, its value)
+    tol, g = 2.0 ** -20, TorusGrid((8, 8))
+    at = {"anti": 1.0, "topform": 1.0, "volume": 1.0, "margin": 5e-324, **parts}
+    part = {k: v * tol if k != "margin" else v for k, v in at.items()}
+    monkeypatch.setattr(nf, "anti_invariant_norm", lambda d: part["anti"])
+    monkeypatch.setattr(nf, "top_form_ratio",
+                        lambda w: ScalarField(g, np.full(g.sizes, 1.0 + part["topform"])))
+    monkeypatch.setattr(vf, "integrate", lambda f: 1.0 + part["volume"])
+    monkeypatch.setattr(vf, "compatibility_margin", lambda w, sign: part["margin"])
+    rep = vf.verify_solution(zero_field(g), zero_field(g), eq.EquationSpec(eq.Family.STDMA), tol)
+    assert (rep.anti_invariant_norm, rep.topform_residual, rep.volume_defect,
+            rep.positivity_margin) == (part["anti"], part["topform"], part["volume"], part["margin"])
+    assert rep.passed is passed
