@@ -630,7 +630,20 @@ def test_min_eigenvalue_matches_eigvalsh(name):
     assert eq.min_eigenvalue(_nested(stack, name.startswith("scalar-"))) == _dense_min(stack)
 
 
-@pytest.mark.parametrize("r, at", [(2, (1, 1)), (3, (0, 2)), (3, "diagonal-point"),
+def test_min_eigenvalue_takes_broadcast_entries():
+    # an entry constant along an axis may come as an array broadcast along it;
+    # the near ties make the screen and LAPACK read it at chosen points
+    stack = _stack_cases()["near-ties-r3"].copy()
+    rows, cols = stack[:, :1, 2, 1], stack[:1, :, 0, 0]
+    stack[..., 2, 1] = stack[..., 1, 2] = rows
+    stack[..., 0, 0] = cols
+    S = _nested(stack)
+    S[2][1] = S[1][2] = rows
+    S[0][0] = cols
+    assert eq.min_eigenvalue(S) == _dense_min(stack)
+
+
+@pytest.mark.parametrize("r, at",[(2, (1, 1)), (3, (0, 2)), (3, "diagonal-point"),
                                    (3, "constant")],
                          ids=["r2-diagonal", "r3-off-diagonal", "r3-diagonal-point", "r3-constant"])
 def test_min_eigenvalue_nan_entry_gives_nan(r, at):
